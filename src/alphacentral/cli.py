@@ -175,7 +175,12 @@ def _cmd_cvjoin(args):
 
 
 def _cmd_closed_spectrum(args):
-    alpha = float(_alpha_from(args))
+    alpha = _alpha_from(args)
+    if isinstance(alpha, Fraction):
+        raise PreconditionError(
+            "closed-spectrum roots its factors in floating point and has no "
+            "exact mode; use 'charpoly --exact P/Q' for the exact "
+            "characteristic polynomial")
     if args.mode == "central":
         if len(args.graphs) != 1:
             raise ParameterError("closed-spectrum central takes one graph")

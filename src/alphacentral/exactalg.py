@@ -2,7 +2,8 @@
 
 Two independent routes are kept deliberately separate:
 
-- charpoly_exact: Faddeev-LeVerrier run modulo a batch of word-size primes
+- charpoly_exact: Hessenberg reduction and the Hessenberg recurrence, O(n^3)
+  per prime, run on a (K, n, n) int64 stack of K word-size primes at once
   and reconstructed by CRT. The prime budget comes from a Hadamard-style
   bound on the coefficients, so the result is exact, not heuristic.
 - det_exact: plain fraction-preserving Gaussian elimination. Slower, used
@@ -11,6 +12,7 @@ Two independent routes are kept deliberately separate:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -21,15 +23,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _is_prime(n):
     # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -43,42 +40,73 @@ def _is_prime(n):
     return True
 
 
-def _primes_below(limit, count):
-    out = []
-    p = limit - 1
-    while len(out) < count:
-        if _is_prime(p):
-            out.append(p)
-        p -= 2 if p % 2 else 1
+@functools.lru_cache(maxsize=32)
+def _prime_table(limit, count):
+    """The `count` largest primes below `limit` and Garner's CRT constants:
+    radices[k] = primes[0] * ... * primes[k-1] and its inverse mod primes[k]."""
+    primes, p = [], limit - 1
+    while len(primes) < count:
         if p < 3:
             raise ValueError("prime supply exhausted")
-    return out
+        if _is_prime(p):
+            primes.append(p)
+        p -= 2 if p % 2 else 1
+    radices = [math.prod(primes[:k]) for k in range(count + 1)]
+    inverses = [pow(r, -1, p) for r, p in zip(radices, primes)]
+    return tuple(primes), tuple(zip(primes, radices, inverses)), radices[-1]
 
 
-def _crt_symmetric(residues, primes):
+def _crt_symmetric(residues, garner, prod):
     """Combine residues into the integer of least absolute value."""
-    x, prod = 0, 1
-    for r, p in zip(residues, primes):
-        h = (r - x) * pow(prod, -1, p) % p
-        x += prod * h
-        prod *= p
-    if 2 * x > prod:
-        x -= prod
-    return x
+    x = 0
+    for r, (p, radix, inv) in zip(residues, garner):
+        x += radix * ((r - x) * inv % p)
+    return x - prod if 2 * x > prod else x
+
+
+def _hessenberg_mod(H, p):
+    """Reduce each H[k] to upper-Hessenberg form mod p[k] by similarity, in place.
+
+    The pivot is chosen per prime: an entry can vanish mod one prime only.
+    n * (p-1)^2 < 2^63 keeps each column sum exact in int64.
+    """
+    K, n, _ = H.shape
+    ks, pc, pm = np.arange(K), p[:, None], p[:, None, None]
+    for j in range(n - 2):
+        piv = j + 1 + (H[:, j + 1:, j] != 0).argmax(axis=1)
+        if (piv != j + 1).any():
+            H[ks, j + 1], H[ks, piv] = H[ks, piv], H[ks, j + 1]
+            H[ks, :, j + 1], H[ks, :, piv] = H[ks, :, piv], H[ks, :, j + 1]
+        if not H[:, j + 2:, j].any():
+            continue
+        inv = [pow(int(u), -1, int(q)) if u else 0 for u, q in zip(H[:, j + 1, j], p)]
+        mult = H[:, j + 2:, j] * np.array(inv, dtype=np.int64)[:, None] % pc
+        # row ops L; rows j+1.. are zero left of column j
+        H[:, j + 2:, j:] = (H[:, j + 2:, j:] - mult[:, :, None] * H[:, j + 1, None, j:]) % pm
+        # column ops L^{-1}
+        H[:, :, j + 1] = (H[:, :, j + 1] + np.einsum("kir,kr->ki", H[:, :, j + 2:], mult)) % pc
+
+
+def _hessenberg_charpoly_mod(H, p):
+    """Ascending charpoly coefficients of each upper-Hessenberg H[k] mod p[k]:
+    P_m = x P_{m-1} - sum_{i<=m} h_im (h_{i+1,i} ... h_{m,m-1}) P_{i-1},
+    with the subdiagonal products kept as a running suffix product."""
+    n, pc = H.shape[1], p[:, None]
+    P = np.zeros((len(p), n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    suffix = np.ones((len(p), n), dtype=np.int64)
+    for m in range(1, n + 1):
+        suffix[:, :m - 1] = suffix[:, :m - 1] * H[:, m - 1, m - 2, None] % pc
+        w = H[:, :m, m - 1] * suffix[:, :m] % pc
+        P[:, m, 1:] = P[:, m - 1, :-1]
+        # P_{i-1} has degree < m; the sum is at most n * (p-1)^2
+        P[:, m, :m] = (P[:, m, :m] - np.einsum("ki,kid->kd", w, P[:, :m, :m])) % pc
+    return P[:, n]
 
 
 def charpoly_int(M):
-    """Exact characteristic polynomial of a square integer matrix.
-
-    Parameters
-    ----------
-    M : sequence of sequences of int
-
-    Returns
-    -------
-    list of int
-        Monic coefficients in ascending degree order, length n+1.
-    """
+    """Exact characteristic polynomial of a square integer matrix (sequence of
+    sequences of int), as its n+1 monic coefficients in ascending degree order."""
     n = len(M)
     if n == 0:
         return [1]
@@ -90,61 +118,29 @@ def charpoly_int(M):
     # coefficient c_k is a sum of C(n,k) k x k minors, each Hadamard-bounded
     # by (sqrt(k) * B)^k
     bits = n + n * (0.5 * math.log2(max(n, 2)) + math.log2(max(bigb, 2))) + 16
-    # primes must satisfy n * (p-1)^2 < 2^63 for the int64 matmul
-    pmax = int(math.isqrt((2 ** 63 - 1) // max(n, 1)))
-    pmax = min(pmax, 2 ** 30)
-    nprimes = int(bits // math.log2(pmax)) + 2
-    primes = _primes_below(pmax, nprimes)
-
-    K = len(primes)
-    parr = np.array(primes, dtype=np.int64).reshape(K, 1, 1)
-    A = np.empty((K, n, n), dtype=np.int64)
-    for k, p in enumerate(primes):
-        A[k] = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-
-    # Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A(M_k + c_k I)
-    coeffs_mod = np.zeros((K, n + 1), dtype=np.int64)
-    inv = {j: np.array([pow(j, -1, p) for p in primes], dtype=np.int64)
-           for j in range(1, n + 1)}
-    pflat = np.array(primes, dtype=np.int64)
-    Mk = A.copy()
-    idx = np.arange(n)
-    for j in range(1, n + 1):
-        tr = np.einsum("kii->k", Mk) % pflat
-        cj = (-tr % pflat) * inv[j] % pflat
-        coeffs_mod[:, j] = cj
-        if j < n:
-            B = Mk.copy()
-            B[:, idx, idx] = (B[:, idx, idx] + cj[:, None]) % pflat[:, None]
-            Mk = (A @ B) % parr
-
-    # charpoly = x^n + c_1 x^{n-1} + ... + c_n
-    out = [0] * (n + 1)
-    out[n] = 1
-    for j in range(1, n + 1):
-        out[n - j] = _crt_symmetric([int(c) for c in coeffs_mod[:, j]], primes)
-    return out
+    # primes must satisfy n * (p-1)^2 < 2^63 for the int64 sums
+    pmax = min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30)
+    primes, garner, prod = _prime_table(pmax, int(bits // math.log2(pmax)) + 2)
+    p = np.array(primes, dtype=np.int64)
+    if bigb < 2 ** 62:
+        H = np.array(rows, dtype=np.int64)[None] % p[:, None, None]
+    else:
+        H = np.array([[[x % q for x in r] for r in rows] for q in primes], dtype=np.int64)
+    _hessenberg_mod(H, p)
+    coeffs_mod = _hessenberg_charpoly_mod(H, p).T.tolist()
+    return [_crt_symmetric(c, garner, prod) for c in coeffs_mod]
 
 
 def charpoly_exact(M):
-    """Exact characteristic polynomial of a square matrix with Fraction entries.
-
-    Scales by the lcm of denominators, runs the integer engine, and maps the
-    coefficients back: if p is the charpoly of c*M then the charpoly of M has
-    coefficients p_k * c^(k-n).
-
-    Returns ascending Fraction coefficients, monic.
-    """
-    n = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    c = 1
-    for row in rows:
-        for x in row:
-            c = c * x.denominator // math.gcd(c, x.denominator)
-    scaled = [[x * c for x in row] for row in rows]
-    assert all(x.denominator == 1 for row in scaled for x in row)
-    ints = charpoly_int([[x.numerator for x in row] for row in scaled])
-    return [Fraction(ints[k], c ** (n - k)) for k in range(n + 1)]
+    """Exact characteristic polynomial of a square rational matrix, as ascending
+    monic Fraction coefficients. Scales by the lcm c of the entries'
+    denominators and runs the integer engine: if p is the charpoly of c*M,
+    the charpoly of M has coefficients p_k * c^(k-n)."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in M]
+    c = math.lcm(*{x.denominator for row in rows for x in row})
+    ints = charpoly_int([[x.numerator * (c // x.denominator) for x in row] for row in rows])
+    return [Fraction(ck, c ** (len(rows) - k)) for k, ck in enumerate(ints)]
 
 
 def det_exact(M):

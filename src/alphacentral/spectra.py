@@ -220,9 +220,10 @@ def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
 def char_poly(M):
     """Characteristic polynomial det(lambda*I - M), monic, ascending coeffs.
 
-    Exact mode (object/Fraction entries) runs the CRT Faddeev-LeVerrier
-    engine and returns Fraction coefficients. Float mode multiplies out the
-    eigenvalues of the (symmetric) input.
+    Exact mode (object/Fraction entries) runs the multi-prime Hessenberg
+    engine, O(n^3) per prime with CRT reconstruction, and returns Fraction
+    coefficients. Float mode multiplies out the eigenvalues of the
+    (symmetric) input.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -122,6 +122,14 @@ def test_closed_spectrum_precondition_exit(capsys, tmp_path):
     assert code == 2
 
 
+def test_closed_spectrum_exact_alpha_refused(capsys):
+    # the factors are rooted in floats, so --exact must fail loudly
+    for argv in (("central", "petersen"), ("cvjoin", "complete:3", "complete:2")):
+        code, out, err = run(capsys, "closed-spectrum", *argv, "--exact", "1/2")
+        assert code == 2 and out == ""
+        assert "precondition" in err and "charpoly --exact" in err
+
+
 def test_energy(capsys):
     code, out, _ = run(capsys, "energy", "petersen", "--alpha", "0.25")
     assert code == 0

@@ -1,15 +1,27 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from alphacentral.exactalg import (_is_prime, charpoly_exact, charpoly_int,
-                                   det_exact)
+from alphacentral import Polynomial, generate
+from alphacentral.exactalg import (_is_prime, _prime_table, charpoly_exact,
+                                   charpoly_int, det_exact)
+
+
+def _assert_charpoly_matches_det(m, coeffs, xs):
+    """coeffs must evaluate to det(xI - m) at every x; n+1 points pin them."""
+    n = len(m)
+    for x in xs:
+        shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * x ** k for k, c in enumerate(coeffs)) == det_exact(shifted)
 
 
 def test_prime_spot_checks():
     assert _is_prime(2) and _is_prime(3) and _is_prime(268435399)
     assert not _is_prime(1) and not _is_prime(268435398) and not _is_prime(25)
+    for n in range(-2, 3000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)))
 
 
 def test_charpoly_int_swap_matrix():
@@ -69,8 +81,67 @@ def test_charpoly_exact_agrees_with_determinant():
         for i in range(n):
             for j in range(i, n):
                 m[j][i] = m[i][j]
-        coeffs = charpoly_exact(m)
-        for x in (Fraction(2), Fraction(-1, 2)):
-            val = sum(c * x ** k for k, c in enumerate(coeffs))
-            shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
-            assert val == det_exact(shifted)
+        _assert_charpoly_matches_det(m, charpoly_exact(m), [Fraction(2), Fraction(-1, 2)])
+
+
+def test_charpoly_int_pivot_vanishing_mod_one_prime():
+    # the largest prime below the engine's limit is used at every bit budget;
+    # it zeroes the first subdiagonal entry modulo that prime alone, so only
+    # that prime swaps rows and columns at the first step
+    n = 5
+    q = _prime_table(min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30), 1)[0][0]
+    rng = random.Random(7)
+    m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    m[1][0], m[2][0] = q, 3
+    coeffs = charpoly_int(m)
+    assert len(coeffs) == n + 1 and coeffs[n] == 1
+    _assert_charpoly_matches_det(m, coeffs, range(n + 1))
+
+
+def test_charpoly_int_hessenberg_and_triangular_inputs():
+    rng = random.Random(13)
+    n = 7
+    hess = [[rng.randint(-6, 6) if i <= j + 1 else 0 for j in range(n)]
+            for i in range(n)]
+    _assert_charpoly_matches_det(hess, charpoly_int(hess), range(n + 1))
+    tri = [[rng.randint(-6, 6) if i >= j else 0 for j in range(n)] for i in range(n)]
+    expected = Polynomial.of([1])
+    for i in range(n):
+        expected = expected * Polynomial.of([-tri[i][i], 1])
+    assert charpoly_int(tri) == list(expected.coeffs)
+
+
+def test_charpoly_int_zero_matrix_and_order_one():
+    assert charpoly_int([[0] * 6 for _ in range(6)]) == [0] * 6 + [1]
+    assert charpoly_int([[0]]) == [0, 1]
+    assert charpoly_int([[-7]]) == [7, 1]
+    assert charpoly_int([]) == [1]
+
+
+def test_charpoly_int_entries_beyond_int64_take_the_bignum_branch():
+    big = 2 ** 62 + 11
+    m = [[big, 3], [5, -(2 ** 70)]]
+    assert charpoly_int(m) == [big * -(2 ** 70) - 15, -(big - 2 ** 70), 1]
+    m3 = [[big, 1, -2], [4, 0, 2 ** 65], [1, -1, 3]]
+    _assert_charpoly_matches_det(m3, charpoly_int(m3), range(4))
+
+
+def test_charpoly_int_random_nonsymmetric_order_30():
+    rng = random.Random(29)
+    n = 30
+    m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    _assert_charpoly_matches_det(m, charpoly_int(m), [Fraction(3, 2), Fraction(-5, 7)])
+
+
+def test_strongly_regular_16_6_2_2_adjacency_charpoly_closed_form():
+    # SRG(16,6,2,2) has spectrum 6, 2^6, (-2)^9
+    expected = Polynomial.of([-6, 1])
+    for root, mult in ((2, 6), (-2, 9)):
+        for _ in range(mult):
+            expected = expected * Polynomial.of([-root, 1])
+    for name in ("shrikhande", "rook4x4"):
+        g = generate(name)
+        m = [[0] * g.n for _ in range(g.n)]
+        for i, j in g.edges:
+            m[i][j] = m[j][i] = 1
+        assert charpoly_int(m) == list(expected.coeffs)
