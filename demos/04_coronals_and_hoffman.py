@@ -4,8 +4,8 @@
 The coronal of M at x is the entry sum of (xI - M)^{-1}. It is the quantity
 through which a join's second factor enters the characteristic polynomial.
 Closed forms exist for constant row sums (n/(x - a)) and for the family
-matrices of complete bipartite graphs; both are checked against direct
-linear solves here. The Hoffman polynomial of a connected regular graph
+matrices of complete bipartite graphs; both are checked here against
+coronal_eval, which sums c_i / (x - mu_i) over one eigendecomposition. The Hoffman polynomial of a connected regular graph
 maps its adjacency matrix to the all-ones matrix.
 """
 
@@ -20,7 +20,7 @@ print("coronal of A(Petersen): constant row sums r=3 give 10/(x-3)")
 for x in (4.0, 5.0, 10.0):
     closed = coronal_regular(10, 3)(x)
     solved = coronal_eval(adjacency_matrix(pet), x)
-    print(f"  x={x:>4}: closed {closed:.12g}, linear solve {solved:.12g}")
+    print(f"  x={x:>4}: closed {closed:.12g}, spectral {solved:.12g}")
 
 print("\ncoronal of A_alpha(K_{2,3}) has a genuine rational closed form:")
 k23 = generate("complete_bipartite", [2, 3])
@@ -31,7 +31,7 @@ for a in (0.0, 0.5):
     print(f"  alpha={a}: ({num}) / ({den})")
     for x in (3.0, 7.0):
         print(f"    x={x}: closed {rf(x):.12g}, "
-              f"solve {coronal_eval(a_alpha_matrix(k23, a), x):.12g}")
+              f"spectral {coronal_eval(a_alpha_matrix(k23, a), x):.12g}")
 
 print("\nHoffman polynomials P with P(A) = J:")
 for fam, params in [("petersen", []), ("complete", [4]), ("cycle", [4]),

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import InternalCheckError, ParameterError, PreconditionError
 from .graphs import adjacency_matrix, as_complete_bipartite, is_connected, regularity
-from .spectra import (Polynomial, Spectrum, a_alpha_matrix, coronal_eval,
-                      eigenvalues_sym)
+from .spectra import (Polynomial, Spectrum, _coronal_spectral, _coronal_values,
+                      a_alpha_matrix, eigenvalues_sym)
 
 TOL_MATCH = 1e-8
 TOL_DET = 1e-9
@@ -59,10 +59,13 @@ class CoronalTerm:
 
     Only the value at a point is available; the net degree it contributes
     to the full product is 2 (numerator degree n2+2 over the charpoly of
-    A_alpha(G2), whose n2 linear factors are listed separately).
+    A_alpha(G2), whose n2 linear factors are listed separately). It holds
+    the spectral pair (w, c) of A_alpha(G2) from spectra._coronal_spectral,
+    so Gamma(x) = sum(c / (x - w)) costs O(n2) per evaluation.
     """
 
-    m2: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
     n1: int
     n2: int
     r1: int
@@ -74,7 +77,7 @@ class CoronalTerm:
 
     def __call__(self, lam):
         a = self.alpha
-        gamma = coronal_eval(self.m2, lam - a * self.n1)
+        gamma = _coronal_values(self.w, self.c, lam - a * self.n1)
         return ((lam - 2 * a)
                 * (lam - self.n1 - a * self.n2 + (1 - a) * self.r1 + 1
                    - self.n1 * (1 - a) ** 2 * gamma)
@@ -401,15 +404,15 @@ def _charpoly_cvjoin_kpq(G1, n1, m1, r1, p, q, a):
 
 
 def _charpoly_cvjoin_generic(G1, G2, n1, m1, r1, a):
-    m2 = a_alpha_matrix(G2, a)
+    w, c = _coronal_spectral(a_alpha_matrix(G2, a))
     factors = []
-    for val, k in eigenvalues_sym(m2).groups:
+    for val, k in Spectrum.from_values(w).groups:
         factors.append(Factor(Polynomial.of([-(a * n1 + val), 1.0]), k,
                               f"g2-eigenvalue {val:.10g}"))
     for lj, mult in _base_eigen_groups(G1):
         factors.append(Factor(_g_quad_cvjoin(n1, G2.n, r1, a, lj), mult,
                               f"base-eigenvalue {lj:.10g}"))
-    factors.append(Factor(CoronalTerm(m2, n1, G2.n, r1, a), 1, "coronal"))
+    factors.append(Factor(CoronalTerm(w, c, n1, G2.n, r1, a), 1, "coronal"))
     return FactoredCharPoly(2 * a, m1 - n1, tuple(factors), n1 + m1 + G2.n)
 
 

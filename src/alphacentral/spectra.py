@@ -205,8 +205,14 @@ def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
     contract ||M V - V L||_F <= TOL_EIG * n * ||M||_2 is checked on every
     call and raising InternalCheckError on violation.
     """
-    M = _require_symmetric(M)
-    Mf = _as_float_matrix(M)
+    w, _ = _eigh_checked(M)
+    return Spectrum.from_values(w[::-1], cluster_tol)
+
+
+def _eigh_checked(M):
+    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric
+    matrix, with the TOL_EIG residual contract checked."""
+    Mf = _as_float_matrix(_require_symmetric(M))
     n = Mf.shape[0]
     w, V = np.linalg.eigh(Mf)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
@@ -214,7 +220,7 @@ def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
     if resid > TOL_EIG * n * scale:
         raise InternalCheckError(
             f"eigensolver residual {resid:.3e} exceeds {TOL_EIG:.0e} * n * ||M||")
-    return Spectrum.from_values(w[::-1], cluster_tol)
+    return w, V
 
 
 def char_poly(M):
@@ -239,21 +245,36 @@ def char_poly(M):
 # coronals: Gamma_M(x) = sum of entries of (xI - M)^{-1}
 
 def coronal_eval(M, x):
-    """Evaluate the coronal of a symmetric matrix at x by one linear solve.
+    """Evaluate the coronal of a symmetric matrix at x in spectral form.
 
+    With M = V diag(w) V^T, Gamma(x) = sum_i c_i / (x - w_i) where
+    c_i = (v_i^T 1)^2: one O(n^3) eigendecomposition, then O(n) per point.
+    Callers evaluating many points take (w, c) once from _coronal_spectral.
     Raises SingularityError when x is within TOL_SING of an eigenvalue.
     """
-    M = _require_symmetric(M)
-    Mf = _as_float_matrix(M)
-    w = np.linalg.eigvalsh(Mf)
-    gap = np.min(np.abs(w - float(x)))
-    if gap < TOL_SING:
-        raise SingularityError(
-            f"x={x} is within {gap:.2e} of the spectrum (tolerance {TOL_SING:.0e})")
-    n = Mf.shape[0]
-    ones = np.ones(n)
-    u = np.linalg.solve(float(x) * np.eye(n) - Mf, ones)
-    return float(ones @ u)
+    w, c = _coronal_spectral(M)
+    return float(_coronal_values(w, c, x))
+
+
+def _coronal_spectral(M):
+    """(w, c) with Gamma_M(x) = sum(c / (x - w)) for symmetric M.
+
+    Within a repeated eigenvalue the eigenvectors are arbitrary, but the sum
+    of their c_i is ||P_i 1||^2 for the eigenprojection P_i, so Gamma is not.
+    """
+    w, V = _eigh_checked(M)
+    return w, V.sum(axis=0) ** 2
+
+
+def _coronal_values(w, c, x):
+    """Gamma at x (a scalar, or an array of points) from _coronal_spectral."""
+    d = np.asarray(x, dtype=float)[..., None] - w
+    if d.size:
+        gap = np.min(np.abs(d))
+        if gap < TOL_SING:
+            raise SingularityError(
+                f"x={x} is within {gap:.2e} of the spectrum (tolerance {TOL_SING:.0e})")
+    return (c / d).sum(axis=-1)
 
 
 def coronal_regular(n, a):

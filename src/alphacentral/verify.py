@@ -26,8 +26,8 @@ from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError, SingularityError
 from .graphs import (Graph, as_complete_bipartite, generate, is_connected,
                      nonisomorphism_witness, regularity)
-from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, a_alpha_matrix,
-                      char_poly, coronal_eval, eigenvalues_sym)
+from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, _coronal_spectral,
+                      _coronal_values, a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
 @dataclass(frozen=True)
@@ -247,19 +247,30 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
 def coronal_equal_check(h1, h2, alpha, sample_points):
     """Test Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} at sample points.
 
-    Points within TOL_SING of either spectrum are dropped first; if none
-    survive, raises SingularityError. Two coronals of order-n matrices are
-    rational functions of degree <= n, so agreement at 2n+1 distinct
-    non-pole points proves identity; callers supply that many.
+    Each matrix is eigendecomposed once and both coronals are evaluated at
+    every point from that, so the cost is O(n^3) whatever the point count.
+    Points within TOL_SING of either spectrum are dropped first. The
+    coronal of an order-n matrix is p/q with deg q = n and deg p <= n - 1,
+    so Gamma_1 - Gamma_2 has a numerator of degree <= n1 + n2 - 1: one
+    disagreeing point proves the coronals differ, and agreement at
+    n1 + n2 distinct usable points proves identity. When every usable point
+    agrees but fewer than n1 + n2 distinct ones remain, raises
+    SingularityError. coronal_sample_points supplies enough.
     """
-    m1 = a_alpha_matrix(h1, float(alpha))
-    m2 = a_alpha_matrix(h2, float(alpha))
-    w = np.concatenate([np.linalg.eigvalsh(m1), np.linalg.eigvalsh(m2)])
-    usable = [x for x in sample_points if np.min(np.abs(w - x)) >= TOL_SING]
-    if not usable:
-        raise SingularityError("every sample point is within TOL_SING of a pole")
-    return all(abs(coronal_eval(m1, x) - coronal_eval(m2, x)) <= TOL_NUM
-               for x in usable)
+    w1, c1 = _coronal_spectral(a_alpha_matrix(h1, float(alpha)))
+    w2, c2 = _coronal_spectral(a_alpha_matrix(h2, float(alpha)))
+    x = np.array(sorted({float(x) for x in sample_points}))
+    poles = np.concatenate([w1, w2])
+    x = x[np.all(np.abs(x[:, None] - poles) >= TOL_SING, axis=1)]
+    gap = np.abs(_coronal_values(w1, c1, x) - _coronal_values(w2, c2, x))
+    if np.any(gap > TOL_NUM):
+        return False
+    need = h1.n + h2.n
+    if len(x) < need:
+        raise SingularityError(
+            f"coronals agree at all {len(x)} distinct sample points that clear "
+            f"the poles by TOL_SING; proving equality needs n1 + n2 = {need}")
+    return True
 
 
 def coronal_sample_points(h1, h2, alpha):

@@ -119,7 +119,7 @@ def test_criterion_4_coronal_identities():
                 worst = max(worst, abs(closed(x) - coronal_eval(m, x)))
                 checks += 1
     _criterion(4, worst <= 1e-9,
-               f"coronal closed forms vs linear-solve evaluation at 2n+1 "
+               f"coronal closed forms vs spectral evaluation at 2n+1 "
                f"non-pole points, {checks} evaluations, worst deviation "
                f"{worst:.2e} (tol 1e-09)")
 

@@ -243,6 +243,24 @@ def test_cvjoin_generic_g2_evaluates():
         assert fac.evaluate(x) == pytest.approx(poly(x), rel=1e-8)
 
 
+def test_cvjoin_generic_evaluate_needs_no_eigensolver(monkeypatch):
+    # the coronal term keeps the spectral pair of A_alpha(G2), so evaluating
+    # the factored form at a point runs no eigensolver and no linear solve
+    g1 = generate("complete", [3])
+    fac = charpoly_cvjoin(g1, PAW, 0.3)
+    term = next(f.poly for f in fac.factors if f.label == "coronal")
+    assert term.w.shape == term.c.shape == (PAW.n,)
+    assert sum(term.c) == pytest.approx(PAW.n)
+    poly = char_poly(a_alpha_matrix(central_vertex_join(g1, PAW), 0.3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver or solve called per point")
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for x in (12.0, -4.7, 20.25, 3.3):
+        assert fac.evaluate(x) == pytest.approx(poly(x), rel=1e-8)
+
+
 def test_cvjoin_random_points_against_exact_charpoly():
     # rational alpha: the factored form evaluated at random points agrees
     # with the exact characteristic polynomial of the explicit matrix

@@ -169,6 +169,39 @@ def test_coronal_zero_matrix():
     assert coronal_eval(np.zeros((7, 7)), 1.0) == pytest.approx(7.0, abs=1e-12)
 
 
+def _petersen_k4_star():
+    # Petersen, K4 and K_{1,3} side by side at alpha = 0.3: the two cubic
+    # parts share the eigenvalue 3, whose eigenspace carries ||P 1||^2 = 14
+    # however eigh splits it between two eigenvectors; 1.6 (five times) and
+    # -0.5 (four times) repeat with P 1 = 0
+    edges = (list(generate("petersen").edges)
+             + [(i, j) for i in range(10, 14) for j in range(i + 1, 14)]
+             + [(14, 15), (14, 16), (14, 17)])
+    return a_alpha_matrix(Graph.from_edges(18, edges), 0.3)
+
+
+def _random_symmetric():
+    b = np.random.default_rng(7).standard_normal((12, 12))
+    return b + b.T
+
+
+@pytest.mark.parametrize("make", [_random_symmetric, _petersen_k4_star,
+                                  lambda: np.zeros((5, 5))],
+                         ids=["random", "petersen+k4+star", "zero"])
+def test_coronal_spectral_form_matches_linear_solve(make):
+    m = make()
+    n = m.shape[0]
+    w = np.linalg.eigvalsh(m)
+    points = [x for x in np.linspace(w[0] - 2.0, w[-1] + 2.0, 201)
+              if np.min(np.abs(w - x)) >= 0.1]
+    assert len(points) > 150
+    for x in points:
+        solved = np.ones(n) @ np.linalg.solve(x * np.eye(n) - m, np.ones(n))
+        # abs guards the zeros of Gamma between poles, where no relative
+        # error is meaningful
+        assert coronal_eval(m, x) == pytest.approx(solved, rel=1e-12, abs=1e-12)
+
+
 def test_coronal_singularity():
     with pytest.raises(SingularityError):
         coronal_eval(adjacency_matrix(generate("petersen")), 3.0)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from alphacentral import (PreconditionError, SingularityError, a_alpha_matrix,
@@ -91,12 +92,16 @@ def test_coronal_equal_same_graph():
     assert coronal_equal_check(g, g, 0.25, pts)
 
 
+def _prism():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                            + [(i, 5 + i) for i in range(5)], "prism")
+
+
 def test_coronal_equal_two_cubic_graphs():
     # Petersen and the pentagonal prism are both 3-regular on 10 vertices,
     # so both coronals are 10/(x - 3) at every alpha
-    prism = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                             + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-                             + [(i, 5 + i) for i in range(5)], "prism")
+    prism = _prism()
     pet = generate("petersen")
     for a in (0.0, 0.5):
         pts = coronal_sample_points(pet, prism, a)
@@ -113,6 +118,37 @@ def test_coronal_all_samples_singular():
     k2 = generate("complete", [2])  # adjacency eigenvalues +-1
     with pytest.raises(SingularityError):
         coronal_equal_check(k2, k2, 0.0, [1.0, -1.0])
+
+
+def test_coronal_equal_too_few_points_raises():
+    # equal coronals 10/(x - 3), but 5 points cannot rule out a difference
+    # whose numerator has degree up to n1 + n2 - 1 = 19
+    pet, prism = generate("petersen"), _prism()
+    pts = coronal_sample_points(pet, prism, 0.5)
+    with pytest.raises(SingularityError, match="20"):
+        coronal_equal_check(pet, prism, 0.5, pts[:5])
+    # a repeated point counts once
+    with pytest.raises(SingularityError):
+        coronal_equal_check(pet, prism, 0.5, pts[:19] + pts[:1])
+    assert coronal_equal_check(pet, prism, 0.5, pts[:20])
+
+
+def test_coronal_equal_two_eigendecompositions(monkeypatch):
+    # an order-40 pair with 81 points: one decomposition per matrix, none
+    # per point
+    h1 = generate("cycle", [40])
+    h2 = Graph.from_edges(40, [(i, (i + 1) % 17) for i in range(17)]
+                          + [(17 + i, 17 + (i + 1) % 23) for i in range(23)])
+    pts = coronal_sample_points(h1, h2, 0.4)
+    assert len(pts) == 81
+    calls = []
+    for name in ("eigh", "eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    assert coronal_equal_check(h1, h2, 0.4, pts)
+    assert calls == ["eigh", "eigh"]
 
 
 # --- cospectral families
