@@ -3,9 +3,8 @@ A_alpha = alpha*D + (1-alpha)*A, with closed-form factorizations verified
 against a dense eigensolver and certified cospectral constructions."""
 
 from .closedform import (FactoredCharPoly, charpoly_central_regular,
-                         charpoly_cvjoin, quadratic_roots, solve_poly_real,
-                         spectrum_central_regular, spectrum_cvjoin_kpq,
-                         spectrum_cvjoin_regular)
+                         charpoly_cvjoin, spectrum_central_regular,
+                         spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
 from .errors import (InternalCheckError, ParameterError, ParseError,
                      PreconditionError, SingularityError)
@@ -34,8 +33,7 @@ __all__ = [
     "coronal_regular", "coronal_kpq_alpha", "hoffman_poly", "a_alpha_energy",
     "central_graph", "central_vertex_join",
     "charpoly_central_regular", "spectrum_central_regular", "charpoly_cvjoin",
-    "spectrum_cvjoin_regular", "spectrum_cvjoin_kpq", "solve_poly_real",
-    "quadratic_roots",
+    "spectrum_cvjoin_regular", "spectrum_cvjoin_kpq",
     "sweep", "spectra_equal", "cospectral_cvjoin_family", "coronal_equal_check",
     "default_catalog", "default_alpha_grid", "formula_discrepancy_notes",
     "ParameterError", "ParseError", "PreconditionError", "SingularityError",

@@ -17,10 +17,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .closedform import charpoly_cvjoin, charpoly_central_regular, quadratic_roots, solve_poly_real
+from .closedform import charpoly_cvjoin, charpoly_central_regular
 from .construct import central_graph, central_vertex_join
 from .errors import ParameterError, ParseError, PreconditionError, SingularityError
-from .graphs import FAMILIES, as_complete_bipartite, format_edge_list, generate, parse_edge_list, regularity
+from .graphs import FAMILIES, format_edge_list, generate, parse_edge_list
 from .spectra import Spectrum, a_alpha_energy, a_alpha_matrix, char_poly, eigenvalues_sym
 from . import verify as verify_mod
 
@@ -188,27 +188,14 @@ def _cmd_closed_spectrum(args):
     else:
         if len(args.graphs) != 2:
             raise ParameterError("closed-spectrum cvjoin takes two graphs")
-        g1 = _load_graph(args.graphs[0])
-        g2 = _load_graph(args.graphs[1])
-        if regularity(g2) is None and as_complete_bipartite(g2) is None:
-            raise PreconditionError(
-                "G2 is neither regular nor complete bipartite; no rooted "
-                "closed form exists, use the spectrum subcommand instead")
-        fac = charpoly_cvjoin(g1, g2, alpha)
+        fac = charpoly_cvjoin(_load_graph(args.graphs[0]),
+                              _load_graph(args.graphs[1]), alpha)
 
     rows = []
     if fac.linear_mult:
         rows.append((f"subdivision (x - {fac.linear_root:.10g})",
                      [fac.linear_root] * fac.linear_mult))
-    for f in fac.factors:
-        if f.degree == 1:
-            c0, c1 = f.poly.coeffs
-            roots = [-c0 / c1]
-        elif f.degree == 2:
-            roots = quadratic_roots(f.poly)
-        else:
-            roots = solve_poly_real(f.poly)
-        rows.append((f.label, sorted(roots * f.mult, reverse=True)))
+    rows += fac.factor_roots()
 
     if args.json:
         allvals = sorted((v for _, roots in rows for v in roots), reverse=True)

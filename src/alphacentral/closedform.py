@@ -29,28 +29,44 @@ count close. The (1-a)^2 power on the coronal coupling is the one confirmed
 against the dense eigensolver; see verify.formula_discrepancy_notes for the
 recorded check of the single-power variant.
 
-Degenerate alphas produce genuinely multiple roots (at alpha = 1 everything
-collapses toward the degree multiset), so solve_poly_real recovers root
-clusters by centroid averaging plus Newton on the derivative of matching
-order instead of trusting raw companion-matrix output.
+Every non-linear factor is rooted as the eigenvalues of a small symmetric
+block, so its roots are real by construction and two close but distinct
+roots are never merged. The base-eigenvalue quadratics are the 2x2 blocks
+
+    central:  [[a(n-1) - (1-a)(1 + l_i),     (1-a) sqrt(l_i + r)],  [., 2a]]
+    join:     [[a(n1+n2) - (1-a) l_j - 1,    (1-a) sqrt(l_j + r1)], [., 2a]]
+
+built for every l at once and rooted by one batched eigvalsh. The central
+principal factor is the central block at l_1 = r with (1-a) n added to its
+top-left entry. It, the coronal cubic and the coronal quartic are the
+symmetrized quotients of A_alpha over an equitable partition of the built
+graph (Godsil and Royle, Algebraic Graph Theory, section 9.3): part X has
+diagonal entry a d_X + (1-a) 2 e(X)/|X|, and parts X, Y are coupled by
+(1-a) e(X, Y)/sqrt(|X| |Y|), where d_X is the degree of a vertex of X and
+e counts edges. The parts are {V, S} (original and subdivision vertices),
+{V1, S, V2} and {V1, S, P, Q}. The blocks take the raw eigenvalue arrays
+of A(G1) and A_alpha(G2) with one Perron copy dropped; CLUSTER_TOL grouping
+only names and counts the factors (factors, to_json, evaluate) and never
+moves a root. Every root is checked against its factor as written above,
+to TOL_ROOT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError, PreconditionError
 from .graphs import adjacency_matrix, as_complete_bipartite, is_connected, regularity
 from .spectra import (Polynomial, Spectrum, _coronal_spectral, _coronal_values,
-                      a_alpha_matrix, eigenvalues_sym)
+                      _eigh_checked, a_alpha_matrix)
 
 TOL_MATCH = 1e-8
 TOL_DET = 1e-9
 TOL_ROOT = 1e-10
-
-_CLUSTER_RADIUS = 5e-5  # relative; collapses companion-root multiplets
 
 
 @dataclass(frozen=True)
@@ -100,26 +116,136 @@ class Factor:
         return isinstance(self.poly, Polynomial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class FactorFamily:
+    """k factors of degree d, rooted as the eigenvalues of k symmetric
+    d x d blocks.
+
+    coeffs[i] (ascending, monic) is factor i as the factorization writes
+    it, and every eigenvalue of blocks[i] must be a root of it to TOL_ROOT:
+    |factor(z)| <= TOL_ROOT * max|coeffs[i]| * max(1, |z|)^d. keys,
+    when given, is the eigenvalue each factor comes from, descending:
+    factors whose keys lie within CLUSTER_TOL are listed as one factor with
+    multiplicity, labelled "label key". Without keys the k factors are
+    equal. lead, when given, names row 0 as a factor of its own, and keys
+    then belong to rows 1..k-1.
+    """
+
+    label: str
+    blocks: np.ndarray
+    coeffs: np.ndarray
+    keys: np.ndarray = None
+    lead: str = None
+
+    @property
+    def degree(self):
+        return self.blocks.shape[2]
+
+    @property
+    def count(self):
+        return self.blocks.shape[0]
+
+    def roots(self):
+        """(k, d) array; row i holds the roots of factor i, ascending, each
+        checked against coeffs[i]."""
+        if self.degree == 1:
+            return self.blocks[:, :, 0]
+        z = np.linalg.eigvalsh(self.blocks)
+        cols = self.coeffs.T[:, :, None]
+        val = cols[-1]
+        for c in cols[-2::-1]:
+            val = val * z + c
+        if np.abs(val).max() <= TOL_ROOT:  # monic, so no bound is below TOL_ROOT
+            return z
+        bound = (TOL_ROOT * np.abs(self.coeffs).max(axis=1, keepdims=True)
+                 * np.maximum(1.0, np.abs(z)) ** self.degree)
+        bad = np.abs(val) > bound
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InternalCheckError(
+                f"{self.label} root {z[i, j]:.6g} leaves residual {abs(val[i, j]):.3e} "
+                "in its factor, above TOL_ROOT")
+        return z
+
+    def groups(self):
+        """(label, first row, multiplicity) per distinct factor."""
+        out, start = ([(self.lead, 0, 1)], 1) if self.lead else ([], 0)
+        if self.keys is None:
+            if self.count > start:
+                out.append((self.label, start, self.count - start))
+            return out
+        for key, mult in Spectrum.from_values(self.keys).groups:
+            out.append((f"{self.label} {key:.10g}", start, mult))
+            start += mult
+        return out
+
+
+def _linears(label, roots, keys=None):
+    roots = np.asarray(roots, dtype=float).reshape(-1)
+    coeffs = np.ones((len(roots), 2))
+    coeffs[:, 0] = -roots
+    return FactorFamily(label, roots.reshape(-1, 1, 1), coeffs, keys)
+
+
+def _quadratics(label, top, off, bottom, c0, c1, keys=None, lead=None):
+    """Blocks [[top, off], [off, bottom]] against factors x^2 + c1 x + c0;
+    the arguments are scalars or length-k arrays."""
+    k = np.broadcast(top, off, bottom, c0, c1).size
+    blocks = np.empty((k, 2, 2))
+    blocks[:, 0, 0] = top
+    blocks[:, 0, 1] = blocks[:, 1, 0] = off
+    blocks[:, 1, 1] = bottom
+    coeffs = np.ones((k, 3))
+    coeffs[:, 0] = c0
+    coeffs[:, 1] = c1
+    return FactorFamily(label, blocks, coeffs, keys, lead)
+
+
+def _quotient(label, sizes, degrees, edges, a, coeffs):
+    """One block: the symmetrized quotient of A_alpha over an equitable
+    partition. edges[X][Y] counts the edges between parts X and Y, and
+    edges[X][X] twice those inside X, so edges[X][Y] / |X| is the quotient
+    of the adjacency matrix."""
+    d = len(sizes)
+    block = [[(1 - a) * edges[i][j] / math.sqrt(sizes[i] * sizes[j])
+              + (a * degrees[i] if i == j else 0.0) for j in range(d)]
+             for i in range(d)]
+    return FactorFamily(label, np.array([block]), np.array([coeffs], dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
 class FactoredCharPoly:
     """Characteristic polynomial in factored form.
 
     linear_root/linear_mult hold the (x - 2 alpha)^k subdivision factor
-    (mult may be zero); factors hold everything else. The sum of factor
-    degrees times multiplicities always equals the order of the implied
-    matrix; construction fails rather than pad.
+    (mult may be zero); families hold every other rootable factor, and
+    coronal_term the evaluable-only coronal of a generic G2. The factor
+    degrees always sum to the order of the implied matrix; construction
+    fails rather than pad.
     """
 
     linear_root: float
     linear_mult: int
-    factors: tuple
+    families: tuple
     order: int
+    coronal_term: CoronalTerm = None
 
     def __post_init__(self):
-        total = self.linear_mult + sum(f.degree * f.mult for f in self.factors)
+        total = self.linear_mult + sum(f.degree * f.count for f in self.families)
+        if self.coronal_term is not None:
+            total += self.coronal_term.degree
         if total != self.order:
             raise InternalCheckError(
                 f"factor degrees sum to {total}, expected matrix order {self.order}")
+
+    @cached_property
+    def factors(self):
+        """One Factor per distinct factor, with its multiplicity."""
+        out = [Factor(Polynomial.of(fam.coeffs[start].tolist()), mult, label)
+               for fam in self.families for label, start, mult in fam.groups()]
+        if self.coronal_term is not None:
+            out.append(Factor(self.coronal_term, 1, "coronal"))
+        return tuple(out)
 
     def evaluate(self, lam):
         val = (lam - self.linear_root) ** self.linear_mult
@@ -128,20 +254,31 @@ class FactoredCharPoly:
         return val
 
     def roots(self):
-        """All roots with multiplicity, descending. Polynomial factors only."""
-        vals = [self.linear_root] * self.linear_mult
-        for f in self.factors:
-            if not f.is_polynomial():
-                raise PreconditionError(
-                    "coronal factor is evaluable only; no closed root formula")
-            if f.degree == 1:
-                c0, c1 = f.poly.coeffs
-                vals.extend([-c0 / c1] * f.mult)
-            elif f.degree == 2:
-                vals.extend(quadratic_roots(f.poly) * f.mult)
-            else:
-                vals.extend(solve_poly_real(f.poly) * f.mult)
-        return sorted(vals, reverse=True)
+        """All roots with multiplicity, descending, from the symmetric blocks."""
+        self._require_rootable()
+        parts = [np.full(self.linear_mult, float(self.linear_root))]
+        parts += [fam.roots().ravel() for fam in self.families]
+        return np.sort(np.concatenate(parts))[::-1].tolist()
+
+    def factor_roots(self):
+        """(label, roots descending) for each entry of factors, from the same
+        blocks as roots()."""
+        self._require_rootable()
+        out = []
+        for fam in self.families:
+            z = fam.roots()
+            for label, start, mult in fam.groups():
+                out.append((label, sorted(z[start:start + mult].ravel().tolist(),
+                                          reverse=True)))
+        return out
+
+    def _require_rootable(self):
+        if self.coronal_term is not None:
+            raise PreconditionError(
+                "G2 is neither regular nor complete bipartite: the coronal factor "
+                "is evaluable only and has no closed root formula. Use "
+                "eigenvalues_sym (the spectrum command) on the explicitly built "
+                "graph instead.")
 
     def to_json(self):
         factors = []
@@ -157,81 +294,19 @@ class FactoredCharPoly:
                 "factors": factors}
 
 
-# ---------------------------------------------------------------------------
-# real root extraction
-
-def quadratic_roots(poly):
-    """Both real roots of a quadratic known to split over the reals."""
-    c0, c1, c2 = poly.coeffs
-    disc = c1 * c1 - 4.0 * c2 * c0
-    scale = max(1.0, c1 * c1, abs(4.0 * c2 * c0))
-    if disc < 0:
-        if disc < -1e-9 * scale:
-            raise InternalCheckError(f"quadratic discriminant {disc:.3e} is negative")
-        disc = 0.0
-    s = np.sqrt(disc)
-    if c1 >= 0:
-        big = -(c1 + s) / (2.0 * c2)
-    else:
-        big = -(c1 - s) / (2.0 * c2)
-    small = (c0 / (c2 * big)) if big != 0 else -c1 / (2.0 * c2)
-    return sorted((float(big), float(small)), reverse=True)
+def _spectrum(fac):
+    vals = fac.roots()
+    if len(vals) != fac.order:
+        raise InternalCheckError(
+            f"assembled {len(vals)} eigenvalues for a matrix of order {fac.order}")
+    return Spectrum.from_values(vals)
 
 
-def solve_poly_real(poly, tol_root=TOL_ROOT):
-    """All roots of a polynomial whose roots are guaranteed real.
-
-    Companion-matrix roots are clustered (radius ~5e-5 relative) to recover
-    multiple roots, each cluster is replaced by its centroid and polished by
-    Newton iteration on the derivative of order (multiplicity - 1), where
-    the root is simple again. A surviving decisively complex root or a bad
-    residual signals a transcription bug upstream and raises.
-    """
-    coeffs = [float(c) for c in poly.coeffs]
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-coeffs[0] / coeffs[1]]
-    raw = np.roots(coeffs[::-1])
-    scale = 1.0 + float(np.max(np.abs(raw)))
-    delta = _CLUSTER_RADIUS * scale
-    order = np.argsort(raw.real)
-    raw = raw[order]
-    clusters = [[raw[0]]]
-    for z in raw[1:]:
-        ref = np.mean(clusters[-1])
-        if abs(z - clusters[-1][-1]) < delta or abs(z.real - ref.real) < delta:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-
-    out = []
-    for cl in clusters:
-        mult = len(cl)
-        if mult == 1 and abs(cl[0].imag) > 1e-7 * scale:
-            raise InternalCheckError(
-                f"complex root {cl[0]:.6g} from a factor that must split over the reals")
-        z = float(np.mean([w.real for w in cl]))
-        d = np.array(coeffs)
-        for _ in range(mult - 1):
-            d = np.polynomial.polynomial.polyder(d)
-        dd = np.polynomial.polynomial.polyder(d)
-        for _ in range(3):
-            fz = np.polynomial.polynomial.polyval(z, d)
-            fpz = np.polynomial.polynomial.polyval(z, dd)
-            if fpz == 0.0:
-                break
-            z -= fz / fpz
-        out.extend([z] * mult)
-
-    norm = max(abs(c) for c in coeffs)
-    for z in out:
-        resid = abs(np.polynomial.polynomial.polyval(z, np.array(coeffs)))
-        if resid > tol_root * norm * max(1.0, abs(z)) ** deg:
-            raise InternalCheckError(
-                f"root residual {resid:.3e} at {z:.6g} exceeds tolerance")
-    return sorted(out, reverse=True)
+def _float_alpha(alpha):
+    a = float(alpha)
+    if not (0 <= a <= 1):
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +331,18 @@ def _require_regular_base(G, what):
     return r
 
 
-def _base_eigen_groups(G):
-    """Clustered adjacency eigenvalues with one Perron copy removed."""
-    groups = list(eigenvalues_sym(adjacency_matrix(G)).groups)
-    top, mult = groups[0]
-    if mult == 1:
-        return groups[1:]
-    groups[0] = (top, mult - 1)
-    return groups
+def _adjacency_spectrum(G):
+    """Adjacency eigenvalues of G, descending; the Perron root r comes first."""
+    return _eigh_checked(adjacency_matrix(G))[0][::-1]
+
+
+def _sqrt_shift(l, r):
+    # l >= -r for an r-regular graph; a rounding undershoot would give nan
+    return np.sqrt(np.maximum(l + r, 0.0))
 
 
 def _f_principal_central(n, r, a):
-    return Polynomial.of([2 * a * n - 2 * a + 2 * a * r - 2 * r,
-                          -(2 * a + n - 1 - r * (1 - a)),
-                          1.0])
-
-
-def _f_eigen_central(n, r, a, li):
-    return Polynomial.of([-(1 - a * a) * li + (2 * n - r) * a * a - 2 * a * (1 - r) - r,
-                          (1 - a) * li - 2 * a - n * a + 1,
-                          1.0])
+    return (2 * a * n - 2 * a + 2 * a * r - 2 * r, -(2 * a + n - 1 - r * (1 - a)), 1.0)
 
 
 def charpoly_central_regular(G, alpha):
@@ -283,58 +350,64 @@ def charpoly_central_regular(G, alpha):
 
     G must be connected and r-regular with r >= 2. The adjacency
     eigenvalues of G come from the dense eigensolver; the factor list keeps
-    their clustered multiplicities.
+    their clustered multiplicities. Row 0 of the block stack belongs to the
+    Perron root r and gives the principal factor: the original vertices of
+    the central graph induce the complement J - I - A(G), which maps the
+    all-ones vector to n - 1 - r times itself but an eigenvector for l
+    orthogonal to it to -1 - l times itself, so row 0 gains (1-a) n on its
+    top-left entry.
     """
-    a = float(alpha)
-    if not (0 <= a <= 1):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    a = _float_alpha(alpha)
     r = _require_regular_base(G, "central-graph closed form")
     n, m = G.n, G.m
-    factors = [Factor(_f_principal_central(n, r, a), 1, "principal")]
-    for li, mult in _base_eigen_groups(G):
-        factors.append(Factor(_f_eigen_central(n, r, a, li), mult,
-                              f"base-eigenvalue {li:.10g}"))
-    return FactoredCharPoly(2 * a, m - n, tuple(factors), n + m)
+    l = _adjacency_spectrum(G)
+    top = (a * (n - 1) - (1 - a)) - (1 - a) * l
+    top[0] += (1 - a) * n
+    c0 = -(1 - a * a) * l + ((2 * n - r) * a * a - 2 * a * (1 - r) - r)
+    c1 = (1 - a) * l + (1 - 2 * a - n * a)
+    c0[0], c1[0], _ = _f_principal_central(n, r, a)
+    fam = _quadratics("base-eigenvalue", top, (1 - a) * _sqrt_shift(l, r), 2 * a,
+                      c0, c1, keys=l[1:], lead="principal")
+    return FactoredCharPoly(2 * a, m - n, (fam,), n + m)
 
 
 def spectrum_central_regular(G, alpha):
-    """Spectrum of A_alpha(central_graph(G)) from the factorization.
-
-    Quadratic factors are rooted by the explicit formula; the result has
-    exactly n + m values.
-    """
-    fac = charpoly_central_regular(G, alpha)
-    vals = fac.roots()
-    if len(vals) != fac.order:
-        raise InternalCheckError(
-            f"assembled {len(vals)} eigenvalues for a matrix of order {fac.order}")
-    return Spectrum.from_values(vals)
+    """Spectrum of A_alpha(central_graph(G)) from the factorization; the
+    result has exactly n + m values."""
+    return _spectrum(charpoly_central_regular(G, alpha))
 
 
 # ---------------------------------------------------------------------------
 # central vertex join
 
-def _g_quad_cvjoin(n1, n2, r1, a, lj):
-    lin1 = Polynomial.of([-2 * a, 1.0])
-    lin2 = Polynomial.of([-a * (n1 + n2) + (1 - a) * lj + 1, 1.0])
-    return lin1 * lin2 - Polynomial.of([(1 - a) ** 2 * (lj + r1)])
+def _join_quadratics(l, n1, n2, r1, a):
+    b = (1 - a) * l + (1 - a * (n1 + n2))  # (x - 2a)(x + b) - (1-a)^2 (l + r1)
+    return _quadratics("base-eigenvalue", -b, (1 - a) * _sqrt_shift(l, r1), 2 * a,
+                       -2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, keys=l)
 
 
 def _coronal_cubic(n1, r1, n2, r2, a):
-    shift = Polynomial.of([-(a * n1 + r2), 1.0])
-    lin = Polynomial.of([-n1 - a * n2 + (1 - a) * r1 + 1, 1.0])
-    inner = shift * lin - Polynomial.of([n1 * (1 - a) ** 2 * n2])
-    return Polynomial.of([-2 * a, 1.0]) * inner - (2 * r1 * (1 - a) ** 2) * shift
+    """(x - 2a)[(x - s)(x - t) - n1 n2 (1-a)^2] - 2 r1 (1-a)^2 (x - s),
+    ascending, with s = a n1 + r2 and t = n1 + a n2 - (1-a) r1 - 1."""
+    s = a * n1 + r2
+    t = n1 + a * n2 - (1 - a) * r1 - 1
+    v = 2 * r1 * (1 - a) ** 2
+    i0, i1 = s * t - n1 * n2 * (1 - a) ** 2, -(s + t)  # the bracket
+    return (-2 * a * i0 + v * s, i0 - 2 * a * i1 - v, i1 - 2 * a, 1.0)
 
 
 def _coronal_quartic(n1, r1, p, q, a):
-    s = p + q
-    xs = Polynomial.of([-a * n1, 1.0])  # x = lambda - alpha*n1
-    dsh = xs * xs - (a * s) * xs + Polynomial.of([(2 * a - 1) * p * q])
-    nsh = s * xs + Polynomial.of([-a * s * s + 2 * p * q])
-    lin = Polynomial.of([-n1 - a * s + (1 - a) * r1 + 1, 1.0])
-    inner = dsh * lin - (n1 * (1 - a) ** 2) * nsh
-    return Polynomial.of([-2 * a, 1.0]) * inner - (2 * r1 * (1 - a) ** 2) * dsh
+    """(x - 2a)[D (x - t) - n1 (1-a)^2 N] - 2 r1 (1-a)^2 D, ascending, where
+    N/D is the coronal of A_alpha(K_{p,q}) (spectra.coronal_kpq_alpha) at
+    x - a n1 and t = n1 + a(p + q) - (1-a) r1 - 1."""
+    s, h = p + q, a * n1
+    d0, d1 = h * h + a * s * h + (2 * a - 1) * p * q, -2 * h - a * s  # D, monic
+    n0 = -s * h - a * s * s + 2 * p * q  # N = s x + n0
+    t = n1 + a * s - (1 - a) * r1 - 1
+    w, v = n1 * (1 - a) ** 2, 2 * r1 * (1 - a) ** 2
+    i0, i1, i2 = -t * d0 - w * n0, d0 - t * d1 - w * s, d1 - t  # the bracket
+    return (-2 * a * i0 - v * d0, i0 - 2 * a * i1 - v * d1, i1 - 2 * a * i2 - v,
+            i2 - 2 * a, 1.0)
 
 
 def charpoly_cvjoin(G1, g2, alpha):
@@ -348,9 +421,7 @@ def charpoly_cvjoin(G1, g2, alpha):
     - any other Graph: every eigenvalue of A_alpha(G2) appears as a linear
       factor and the coronal term stays an evaluable rational expression.
     """
-    a = float(alpha)
-    if not (0 <= a <= 1):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    a = _float_alpha(alpha)
     r1 = _require_regular_base(G1, "vertex-join closed form")
     n1, m1 = G1.n, G1.m
 
@@ -369,59 +440,44 @@ def charpoly_cvjoin(G1, g2, alpha):
         return _charpoly_cvjoin_generic(G1, G2, n1, m1, r1, a)
 
     n2 = G2.n
-    factors = []
-    mu = list(eigenvalues_sym(a_alpha_matrix(G2, a)).groups)
-    top, mult = mu[0]  # r2, simple when G2 is connected
-    mu[0] = (top, mult - 1)
-    for val, k in mu:
-        if k > 0:
-            factors.append(Factor(Polynomial.of([-(a * n1 + val), 1.0]), k,
-                                  f"g2-eigenvalue {val:.10g}"))
-    for lj, mult in _base_eigen_groups(G1):
-        factors.append(Factor(_g_quad_cvjoin(n1, n2, r1, a, lj), mult,
-                              f"base-eigenvalue {lj:.10g}"))
-    factors.append(Factor(_coronal_cubic(n1, r1, n2, r2, a), 1, "coronal"))
-    return FactoredCharPoly(2 * a, m1 - n1, tuple(factors), n1 + m1 + n2)
+    mu = _eigh_checked(a_alpha_matrix(G2, a))[0][-2::-1]  # drop r2
+    inner, sub = n1 * (n1 - 1) - 2 * m1, 2 * m1  # edge counts inside V1, V1 to S
+    coronal = _quotient("coronal", [n1, m1, n2], [n1 - 1 + n2, 2, n1 + r2],
+                        [[inner, sub, n1 * n2], [sub, 0, 0], [n1 * n2, 0, n2 * r2]],
+                        a, _coronal_cubic(n1, r1, n2, r2, a))
+    families = (_linears("g2-eigenvalue", a * n1 + mu, keys=mu),
+                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a),
+                coronal)
+    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
 
 
 def _charpoly_cvjoin_kpq(G1, n1, m1, r1, p, q, a):
-    factors = []
-    if q > 1:
-        factors.append(Factor(Polynomial.of([-a * (n1 + p), 1.0]), q - 1,
-                              "bipartite-part-q"))
-    if p > 1:
-        factors.append(Factor(Polynomial.of([-a * (n1 + q), 1.0]), p - 1,
-                              "bipartite-part-p"))
-    for lj, mult in _base_eigen_groups(G1):
-        factors.append(Factor(_g_quad_cvjoin(n1, p + q, r1, a, lj), mult,
-                              f"base-eigenvalue {lj:.10g}"))
-    quartic = _coronal_quartic(n1, r1, p, q, a)
-    if quartic.degree != 4:
-        raise InternalCheckError(
-            f"coronal factor for K_{{{p},{q}}} has degree {quartic.degree}, expected 4")
-    factors.append(Factor(quartic, 1, "coronal"))
-    return FactoredCharPoly(2 * a, m1 - n1, tuple(factors), n1 + m1 + p + q)
+    inner, sub = n1 * (n1 - 1) - 2 * m1, 2 * m1
+    coronal = _quotient("coronal", [n1, m1, p, q], [n1 - 1 + p + q, 2, n1 + q, n1 + p],
+                        [[inner, sub, n1 * p, n1 * q], [sub, 0, 0, 0],
+                         [n1 * p, 0, 0, p * q], [n1 * q, 0, p * q, 0]],
+                        a, _coronal_quartic(n1, r1, p, q, a))
+    families = (_linears("bipartite-part-q", np.full(q - 1, a * (n1 + p))),
+                _linears("bipartite-part-p", np.full(p - 1, a * (n1 + q))),
+                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, p + q, r1, a),
+                coronal)
+    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + p + q)
 
 
 def _charpoly_cvjoin_generic(G1, G2, n1, m1, r1, a):
     w, c = _coronal_spectral(a_alpha_matrix(G2, a))
-    factors = []
-    for val, k in Spectrum.from_values(w).groups:
-        factors.append(Factor(Polynomial.of([-(a * n1 + val), 1.0]), k,
-                              f"g2-eigenvalue {val:.10g}"))
-    for lj, mult in _base_eigen_groups(G1):
-        factors.append(Factor(_g_quad_cvjoin(n1, G2.n, r1, a, lj), mult,
-                              f"base-eigenvalue {lj:.10g}"))
-    factors.append(Factor(CoronalTerm(w, c, n1, G2.n, r1, a), 1, "coronal"))
-    return FactoredCharPoly(2 * a, m1 - n1, tuple(factors), n1 + m1 + G2.n)
+    families = (_linears("g2-eigenvalue", a * n1 + w[::-1], keys=w[::-1]),
+                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, G2.n, r1, a))
+    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + G2.n,
+                            CoronalTerm(w, c, n1, G2.n, r1, a))
 
 
 def spectrum_cvjoin_regular(G1, G2, alpha):
     """Spectrum of A_alpha(central_vertex_join(G1, G2)) for regular G1, G2.
 
     Assembles 2*alpha with multiplicity m1 - n1, the shifted A_alpha(G2)
-    eigenvalues, the 2(n1 - 1) quadratic roots, and the three roots of the
-    coronal cubic.
+    eigenvalues, the 2(n1 - 1) roots of the base-eigenvalue blocks, and the
+    three eigenvalues of the coronal block.
     """
     r2 = regularity(G2)
     if r2 is None:
@@ -429,12 +485,7 @@ def spectrum_cvjoin_regular(G1, G2, alpha):
                                 "use spectrum_cvjoin_kpq or the eigensolver")
     if not is_connected(G2):
         raise PreconditionError("spectrum_cvjoin_regular needs a connected G2")
-    fac = charpoly_cvjoin(G1, G2, alpha)
-    vals = fac.roots()
-    if len(vals) != fac.order:
-        raise InternalCheckError(
-            f"assembled {len(vals)} eigenvalues for a matrix of order {fac.order}")
-    return Spectrum.from_values(vals)
+    return _spectrum(charpoly_cvjoin(G1, G2, alpha))
 
 
 def spectrum_cvjoin_kpq(G1, p, q, alpha):
@@ -445,11 +496,7 @@ def spectrum_cvjoin_kpq(G1, p, q, alpha):
     padding.
     """
     fac = charpoly_cvjoin(G1, (p, q), alpha)
-    coronal = [f for f in fac.factors if f.label == "coronal"]
-    if len(coronal) != 1 or coronal[0].degree * coronal[0].mult != 4:
+    coronal = [f for f in fac.families if f.label == "coronal"]
+    if len(coronal) != 1 or coronal[0].degree * coronal[0].count != 4:
         raise InternalCheckError("coronal factor must contribute exactly 4 roots")
-    vals = fac.roots()
-    if len(vals) != fac.order:
-        raise InternalCheckError(
-            f"assembled {len(vals)} eigenvalues for a matrix of order {fac.order}")
-    return Spectrum.from_values(vals)
+    return _spectrum(fac)

@@ -306,30 +306,57 @@ def as_complete_bipartite(G):
 def triangles_per_edge(G):
     """Sorted multiset of common-neighbor counts over edges."""
     A = adjacency_matrix(G)
-    A2 = A @ A
-    return sorted(int(round(A2[i, j])) for i, j in G.sorted_edges())
+    return _triangles_per_edge(A @ A, *_edge_arrays(G))
 
 
 def triangle_counts_per_vertex(G):
     A = adjacency_matrix(G)
-    A3 = A @ A @ A
-    return sorted(int(round(A3[v, v])) // 2 for v in range(G.n))
+    return _triangles_per_vertex(A, A @ A)
 
 
 def four_clique_count(G):
     """Number of 4-cliques, counted over common-neighbor pairs per edge."""
-    nbrs = [set() for _ in range(G.n)]
-    for i, j in G.edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    count = 0
-    for i, j in G.edges:
-        common = sorted(nbrs[i] & nbrs[j])
-        for a, b in combinations(common, 2):
-            if b in nbrs[a]:
-                count += 1
-    # each K4 has 6 edges and is seen once per edge
-    return count // 6
+    return _four_cliques(adjacency_matrix(G), *_edge_arrays(G))
+
+
+def _edge_arrays(G):
+    """Endpoint index arrays (I, J) over the edges of G."""
+    return np.array(list(G.edges), dtype=np.intp).reshape(-1, 2).T
+
+
+def _as_ints(values):
+    return np.rint(values).astype(np.int64)
+
+
+def _triangles_per_edge(A2, I, J):
+    return sorted(_as_ints(A2[I, J]).tolist())
+
+
+def _triangles_per_vertex(A, A2):
+    # (A^3)_vv = sum_u (A^2)_vu A_uv counts each triangle at v twice
+    return sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
+
+
+def _four_cliques(A, I, J):
+    # row e of C marks the common neighbours of edge e; C A C^T summed over
+    # the diagonal counts adjacent ordered pairs of them, so each K4 is seen
+    # twice from each of its 6 edges
+    C = A[I] * A[J]
+    return int(_as_ints(((C @ A) * C).sum())) // 12
+
+
+def _invariants(G):
+    """(name, value) for each cheap invariant, in order of increasing cost;
+    the adjacency matrix is built once, when first needed."""
+    yield "vertex count", G.n
+    yield "edge count", G.m
+    yield "degree multiset", sorted(G.degree_sequence)
+    A = adjacency_matrix(G)
+    A2 = A @ A
+    I, J = _edge_arrays(G)
+    yield "triangles per vertex", _triangles_per_vertex(A, A2)
+    yield "triangles per edge", _triangles_per_edge(A2, I, J)
+    yield "4-clique count", _four_cliques(A, I, J)
 
 
 def nonisomorphism_witness(G1, G2):
@@ -340,16 +367,7 @@ def nonisomorphism_witness(G1, G2):
     strongly regular pair, whose degree, triangle, and common-neighbor
     statistics all coincide.
     """
-    probes = [
-        ("vertex count", lambda G: G.n),
-        ("edge count", lambda G: G.m),
-        ("degree multiset", lambda G: sorted(G.degree_sequence)),
-        ("triangles per vertex", triangle_counts_per_vertex),
-        ("triangles per edge", triangles_per_edge),
-        ("4-clique count", four_clique_count),
-    ]
-    for name, fn in probes:
-        v1, v2 = fn(G1), fn(G2)
+    for (name, v1), (_, v2) in zip(_invariants(G1), _invariants(G2)):
         if v1 != v2:
             return (name, v1, v2)
     return None

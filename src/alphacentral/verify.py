@@ -19,15 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactalg
-from .closedform import (TOL_MATCH, _base_eigen_groups, _g_quad_cvjoin,
-                         quadratic_roots, spectrum_central_regular,
+from .closedform import (TOL_MATCH, charpoly_cvjoin, spectrum_central_regular,
                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError, SingularityError
 from .graphs import (Graph, as_complete_bipartite, generate, is_connected,
                      nonisomorphism_witness, regularity)
-from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, _coronal_spectral,
-                      _coronal_values, a_alpha_matrix, char_poly, eigenvalues_sym)
+from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, _check_alpha,
+                      _coronal_spectral, _coronal_values, a_alpha_matrix, char_poly,
+                      eigenvalues_sym)
 
 
 @dataclass(frozen=True)
@@ -274,12 +274,15 @@ def coronal_equal_check(h1, h2, alpha, sample_points):
 
 
 def coronal_sample_points(h1, h2, alpha):
-    """2n+1 well-separated non-pole sample points above both spectra."""
-    m1 = a_alpha_matrix(h1, float(alpha))
-    m2 = a_alpha_matrix(h2, float(alpha))
-    w = np.concatenate([np.linalg.eigvalsh(m1), np.linalg.eigvalsh(m2)])
+    """2n+1 well-separated non-pole sample points above both spectra.
+
+    A_alpha is nonnegative with row sums equal to the degrees, so its
+    spectral radius is at most the largest degree; starting one above that
+    clears both spectra without an eigensolve.
+    """
+    _check_alpha(float(alpha), allow_one=True)
     n = max(h1.n, h2.n)
-    start = float(np.max(w)) + 1.0
+    start = max(h1.degree_sequence + h2.degree_sequence) + 1.0
     return [start + 0.37 * k for k in range(2 * n + 1)]
 
 
@@ -378,22 +381,21 @@ def _central_complete_variant(n, a):
 
 def _cvjoin_closed_variant_single_power(g1, g2, a):
     """Join spectrum with the coronal coupling taken as n1*(1-a)*Gamma
-    instead of n1*(1-a)^2*Gamma (rejected form)."""
-    n1, m1, r1 = g1.n, g1.m, regularity(g1)
+    instead of n1*(1-a)^2*Gamma (rejected form). Every factor but the
+    coronal one is rooted by the same blocks as the accepted form."""
+    n1, r1 = g1.n, regularity(g1)
     n2, r2 = g2.n, regularity(g2)
-    vals = [2.0 * a] * (m1 - n1)
-    mu = list(eigenvalues_sym(a_alpha_matrix(g2, a)).groups)
-    mu[0] = (mu[0][0], mu[0][1] - 1)
-    for val, k in mu:
-        vals += [a * n1 + val] * k
-    for lj, mult in _base_eigen_groups(g1):
-        vals += quadratic_roots(_g_quad_cvjoin(n1, n2, r1, a, lj)) * mult
+    fac = charpoly_cvjoin(g1, g2, a)
+    vals = [fac.linear_root] * fac.linear_mult
+    for fam in fac.families:
+        if fam.label != "coronal":
+            vals += fam.roots().ravel().tolist()
     shift = Polynomial.of([-(a * n1 + r2), 1.0])
     lin = Polynomial.of([-n1 - a * n2 + (1 - a) * r1 + 1, 1.0])
     inner = shift * lin - Polynomial.of([n1 * (1 - a) * n2])
     cubic = Polynomial.of([-2 * a, 1.0]) * inner - (2 * r1 * (1 - a) ** 2) * shift
-    # the variant is expected to be wrong, so the all-real contract of
-    # solve_poly_real does not apply; take real parts of whatever comes out
+    # the variant is expected to be wrong, so its roots need not be real;
+    # take real parts of whatever comes out
     raw = np.roots(list(cubic.coeffs)[::-1])
     vals += [float(z.real) for z in raw]
     return sorted(vals, reverse=True)

@@ -15,7 +15,8 @@ from alphacentral import (a_alpha_energy, a_alpha_matrix, central_graph,
 from alphacentral.graphs import Graph, adjacency_matrix
 from alphacentral.verify import coronal_sample_points
 
-ALPHA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+# the near-1 points are where distinct closed-form roots lie O(1 - alpha) apart
+ALPHA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 0.9999, 0.99999, 1 - 1e-8]
 
 CENTRAL_CATALOG = ([generate("complete", [n]) for n in range(3, 8)]
                    + [generate("cycle", [n]) for n in range(4, 9)]

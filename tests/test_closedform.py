@@ -7,12 +7,10 @@ import pytest
 from alphacentral import (Graph, InternalCheckError, PreconditionError,
                           a_alpha_matrix, central_graph, central_vertex_join,
                           char_poly, charpoly_central_regular, charpoly_cvjoin,
-                          eigenvalues_sym, generate, quadratic_roots,
-                          solve_poly_real, spectrum_central_regular,
+                          eigenvalues_sym, generate, spectrum_central_regular,
                           spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
-from alphacentral.closedform import TOL_MATCH
+from alphacentral.closedform import TOL_MATCH, FactorFamily, _quadratics
 from alphacentral.exactalg import det_exact
-from alphacentral.spectra import Polynomial
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
 
@@ -26,36 +24,62 @@ def _max_dev(spec1, spec2):
     return max(abs(x - y) for x, y in zip(spec1.values, spec2.values))
 
 
-# --- root finding
+# --- block roots
 
-def test_quadratic_roots_simple():
-    assert quadratic_roots(Polynomial.of([-1.0, 0.0, 1.0])) == [1.0, -1.0]
-
-
-def test_quadratic_roots_wide_scale():
-    # (x - 1e6)(x - 1e-6): naive formula loses the small root
-    p = Polynomial.of([1.0, -(1e6 + 1e-6), 1.0])
-    big, small = quadratic_roots(p)
-    assert big == pytest.approx(1e6, rel=1e-12)
-    assert small == pytest.approx(1e-6, rel=1e-9)
+def _family(blocks, coeffs):
+    return FactorFamily("test", np.array(blocks, dtype=float),
+                        np.array(coeffs, dtype=float))
 
 
-def test_solve_poly_real_examples():
-    assert solve_poly_real(Polynomial.of([-1.0, 0.0, 1.0])) == pytest.approx([1.0, -1.0])
-    roots = solve_poly_real(Polynomial.of([-6.0, 11.0, -6.0, 1.0]))
-    assert roots == pytest.approx([3.0, 2.0, 1.0], abs=1e-9)
+def test_block_roots_simple():
+    # [[0, 1], [1, 0]] has characteristic polynomial x^2 - 1
+    z = _family([[[0, 1], [1, 0]]], [[-1, 0, 1]]).roots()
+    assert z == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-15)
 
 
-def test_solve_poly_real_multiple_root():
-    # (x - 2)(x - 5)^3: companion roots alone are only good to ~1e-5 here
-    p = Polynomial.of([-250.0, 275.0, -105.0, 17.0, -1.0]) * -1.0
-    roots = solve_poly_real(p)
-    assert roots == pytest.approx([5.0, 5.0, 5.0, 2.0], abs=1e-10)
+def test_block_roots_wide_scale():
+    # [[1e6, 1], [1, 0]]: x^2 - 1e6 x - 1, roots about 1e6 and -1e-6; the
+    # small root keeps its relative accuracy, which the naive quadratic
+    # formula loses
+    fam = _quadratics("test", 1e6, 1.0, 0.0, -1.0, -1e6)
+    small, big = fam.roots()[0]
+    assert big == pytest.approx(5e5 + np.sqrt(2.5e11 + 1), rel=1e-12)
+    assert small == pytest.approx(-1.0 / big, rel=1e-9)
 
 
-def test_solve_poly_real_rejects_complex():
+def test_block_roots_cubic_batch():
+    # diag(1, 2, 3) and a rotated copy, both against (x-1)(x-2)(x-3)
+    q, _ = np.linalg.qr(np.array([[1.0, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    rotated = q @ np.diag([1.0, 2.0, 3.0]) @ q.T
+    rotated = (rotated + rotated.T) / 2
+    cubic = [-6.0, 11.0, -6.0, 1.0]
+    z = _family([np.diag([1.0, 2.0, 3.0]), rotated], [cubic, cubic]).roots()
+    assert z == pytest.approx(np.array([[1.0, 2, 3], [1, 2, 3]]), abs=1e-12)
+
+
+def test_block_roots_alpha_one_double_root():
+    # at alpha = 1 every block of C(K3), the principal one included, is
+    # diag(2, 2): the double root 2 comes back exactly, not as a complex pair
+    fac = charpoly_central_regular(generate("complete", [3]), 1.0)
+    (family,) = fac.families
+    assert family.roots().tolist() == [[2.0, 2.0]] * 3
+
+
+def test_block_disagreeing_with_factor_raises():
+    # the block's eigenvalues are +-1, the factor's roots +-2
+    with pytest.raises(InternalCheckError, match="residual"):
+        _family([[[0, 1], [1, 0]]], [[-4, 0, 1]]).roots()
+    # one bad row in a batch is enough
     with pytest.raises(InternalCheckError):
-        solve_poly_real(Polynomial.of([1.0, 0.0, 1.0]))  # x^2 + 1
+        _family([[[0, 1], [1, 0]], [[1, 0], [0, 3]]],
+                [[-1, 0, 1], [3.001, -4, 1]]).roots()
+
+
+def test_block_residual_bound_scales_with_the_factor():
+    # diag(1e4, 2e4) against (x - 1e4)(x - 2e4) + 1e-3: the residual 1e-3
+    # is far above TOL_ROOT but within TOL_ROOT * 2e8 * (2e4)^2
+    z = _family([np.diag([1e4, 2e4])], [[2e8 + 1e-3, -3e4, 1]]).roots()
+    assert z.tolist() == [[1e4, 2e4]]
 
 
 # --- central graph closed form
@@ -133,8 +157,7 @@ def test_cvjoin_cubic_roots_cover_oracle_remainder():
     # linear and quadratic factors do not
     g1, g2 = generate("complete", [3]), generate("complete", [2])
     fac = charpoly_cvjoin(g1, g2, 0.0)
-    cubic = next(f for f in fac.factors if f.label == "coronal")
-    roots = sorted(solve_poly_real(cubic.poly), reverse=True)
+    roots = dict(fac.factor_roots())["coronal"]
     oracle = list(_oracle(central_vertex_join(g1, g2), 0.0).values)
     accounted = sorted([-1.0, 1.0, 1.0, -1.0, -1.0])  # g2 shift + quadratics
     remainder = list(oracle)
@@ -300,3 +323,40 @@ def test_factored_charpoly_json():
     j = fac.to_json()
     assert j["linear"] == {"root": 1.0, "mult": 5}
     assert any(f["label"] == "coronal" and len(f["coeffs"]) == 5 for f in j["factors"])
+
+
+# --- near alpha = 1, where distinct roots lie O(1 - alpha) apart
+
+@pytest.mark.parametrize("g1,second,a", [
+    ("petersen", (3, 3), 0.9999),
+    ("petersen", "complete:3", 0.99999),
+    ("petersen", "cycle:5", 1 - 1e-8),
+    ("cycle:4", "cycle:5", 1 - 1e-8),
+])
+def test_near_one_matches_oracle(g1, second, a):
+    def load(spec):
+        name, _, arg = spec.partition(":")
+        return generate(name, [int(arg)] if arg else [])
+    g1 = load(g1)
+    if isinstance(second, tuple):
+        closed = spectrum_cvjoin_kpq(g1, *second, a)
+        built = central_vertex_join(g1, generate("complete_bipartite", list(second)))
+    else:
+        g2 = load(second)
+        closed = spectrum_cvjoin_regular(g1, g2, a)
+        built = central_vertex_join(g1, g2)
+    assert _max_dev(closed, _oracle(built, a)) <= 1e-8
+
+
+def test_close_g2_eigenvalues_keep_their_roots():
+    # A_alpha(C5) at alpha = 1 - 1e-8 has eigenvalues 2.2e-8 apart, inside
+    # CLUSTER_TOL: they share a factor label but keep their own roots
+    g1, g2 = generate("petersen"), generate("cycle", [5])
+    a = 1 - 1e-8
+    fac = charpoly_cvjoin(g1, g2, a)
+    shifted = [f for f in fac.factors if f.label.startswith("g2-eigenvalue")]
+    assert sum(f.mult for f in shifted) == 4 and len(shifted) == 1
+    roots = sorted(dict(fac.factor_roots())[shifted[0].label])
+    want = sorted(np.linalg.eigvalsh(a_alpha_matrix(g2, a))[:-1] + a * g1.n)
+    assert roots == pytest.approx(want, abs=1e-12)
+    assert roots[-1] - roots[0] > 2e-8

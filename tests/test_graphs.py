@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,9 @@ from alphacentral import (Graph, ParameterError, ParseError, adjacency_matrix,
                           format_edge_list, generate, incidence_matrix,
                           is_connected, nonisomorphism_witness,
                           parse_edge_list, regularity)
-from alphacentral.graphs import four_clique_count, triangles_per_edge
+from alphacentral.construct import central_vertex_join
+from alphacentral.graphs import (four_clique_count, triangle_counts_per_vertex,
+                                 triangles_per_edge)
 
 
 def test_complete_graph():
@@ -197,3 +202,78 @@ def test_shrikhande_rook_nonisomorphic():
 def test_witness_none_for_identical():
     g = generate("petersen")
     assert nonisomorphism_witness(g, g) is None
+
+
+# --- the invariants against plain-Python counts
+
+def _nbrs(G):
+    out = [set() for _ in range(G.n)]
+    for i, j in G.edges:
+        out[i].add(j)
+        out[j].add(i)
+    return out
+
+
+def _python_triangles_per_edge(G):
+    nb = _nbrs(G)
+    return sorted(len(nb[i] & nb[j]) for i, j in G.edges)
+
+
+def _python_triangles_per_vertex(G):
+    nb = _nbrs(G)
+    return sorted(sum(b in nb[a] for a, b in combinations(sorted(nb[v]), 2))
+                  for v in range(G.n))
+
+
+def _python_four_cliques(G):
+    nb = _nbrs(G)
+    seen = sum(b in nb[a] for i, j in G.edges
+               for a, b in combinations(sorted(nb[i] & nb[j]), 2))
+    return seen // 6
+
+
+def _python_witness(G1, G2):
+    probes = [("vertex count", lambda G: G.n), ("edge count", lambda G: G.m),
+              ("degree multiset", lambda G: sorted(G.degree_sequence)),
+              ("triangles per vertex", _python_triangles_per_vertex),
+              ("triangles per edge", _python_triangles_per_edge),
+              ("4-clique count", _python_four_cliques)]
+    for name, fn in probes:
+        if fn(G1) != fn(G2):
+            return (name, fn(G1), fn(G2))
+    return None
+
+
+def _seeded_graph(rng, n, density):
+    return Graph.from_edges(n, [(i, j) for i, j in combinations(range(n), 2)
+                                if rng.random() < density])
+
+
+def _invariant_pairs():
+    rng = random.Random(11)
+    graphs = [_seeded_graph(rng, rng.randint(1, 18), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(40)]
+    s, r = generate("shrikhande"), generate("rook4x4")
+    for h in (generate("path", [3]), generate("complete_bipartite", [2, 3]),
+              generate("cycle", [5])):
+        graphs += [central_vertex_join(s, h), central_vertex_join(r, h)]
+    return graphs
+
+
+def test_invariants_match_python_counts():
+    for g in _invariant_pairs() + [generate("shrikhande"), generate("rook4x4")]:
+        assert triangles_per_edge(g) == _python_triangles_per_edge(g)
+        assert triangle_counts_per_vertex(g) == _python_triangles_per_vertex(g)
+        assert four_clique_count(g) == _python_four_cliques(g)
+
+
+def test_witness_matches_python_probes():
+    graphs = _invariant_pairs()
+    pairs = list(zip(graphs[::2], graphs[1::2]))
+    # same orders, sizes and degrees, so the later probes decide
+    pairs += [(generate("shrikhande"), generate("rook4x4")),
+              (generate("petersen"), generate("petersen"))]
+    for g1, g2 in pairs:
+        assert nonisomorphism_witness(g1, g2) == _python_witness(g1, g2)
+    wit = nonisomorphism_witness(graphs[-2], graphs[-1])
+    assert wit[0] == "4-clique count" and wit[1] != wit[2]

@@ -1,0 +1,90 @@
+"""Property tests: every rooted closed form against the eigensolver on the
+explicitly built matrix, over regular graphs and alphas drawn near 0, 1/2
+and 1 as well as uniformly."""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alphacentral import (Graph, a_alpha_matrix, central_graph,
+                          central_vertex_join, generate, is_connected,
+                          spectrum_central_regular, spectrum_cvjoin_kpq,
+                          spectrum_cvjoin_regular)
+from alphacentral.closedform import TOL_MATCH
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def random_regular(n, r, seed):
+    """Connected r-regular graph on n vertices from the pairing model:
+    n*r points, r per vertex, matched uniformly at random; a matching with
+    a loop, a repeated pair or more than one component is drawn again."""
+    assert 0 < r < n and n * r % 2 == 0
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(r)]
+        rng.shuffle(points)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(pairs) == n * r // 2 and all(a != b for a, b in pairs):
+            g = Graph.from_edges(n, pairs, f"rr({n},{r})")
+            if is_connected(g):
+                return g
+
+
+@st.composite
+def regular_graphs(draw, min_degree):
+    kind = draw(st.sampled_from(["cycle", "complete", "petersen", "random"]))
+    if kind == "cycle":
+        return generate("cycle", [draw(st.integers(3, 12))])
+    if kind == "complete":
+        return generate("complete", [draw(st.integers(min_degree + 1, 8))])
+    if kind == "petersen":
+        return generate("petersen")
+    r = draw(st.integers(max(min_degree, 2), 5))
+    n = draw(st.integers(r + 1, 14).filter(lambda n: n * r % 2 == 0))
+    return random_regular(n, r, draw(st.integers(0, 2**16)))
+
+
+alphas = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-6),
+    st.floats(-1e-6, 1e-6).map(lambda d: 0.5 + d),
+    st.integers(1, 12).map(lambda k: 1.0 - 10.0 ** -k),
+    st.floats(1.0 - 1e-6, 1.0),
+)
+
+
+def _deviation(closed, built, a):
+    oracle = np.linalg.eigvalsh(a_alpha_matrix(built, a))[::-1]
+    assert closed.n == len(oracle) == built.n
+    return float(np.max(np.abs(np.array(closed.values) - oracle)))
+
+
+def test_random_regular_helper():
+    for n, r in ((6, 3), (10, 4), (13, 2), (14, 5)):
+        g = random_regular(n, r, seed=n * r)
+        assert g.n == n and g.m == n * r // 2
+        assert set(g.degree_sequence) == {r} and is_connected(g)
+
+
+@SETTINGS
+@given(g=regular_graphs(min_degree=2), a=alphas)
+def test_central_closed_form_matches_eigensolver(g, a):
+    assert _deviation(spectrum_central_regular(g, a), central_graph(g), a) <= TOL_MATCH
+
+
+@SETTINGS
+@given(g1=regular_graphs(min_degree=2), g2=regular_graphs(min_degree=1), a=alphas)
+def test_regular_join_closed_form_matches_eigensolver(g1, g2, a):
+    closed = spectrum_cvjoin_regular(g1, g2, a)
+    assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH
+
+
+@SETTINGS
+@given(g1=regular_graphs(min_degree=2), p=st.integers(1, 5), q=st.integers(1, 5),
+       a=alphas)
+def test_kpq_join_closed_form_matches_eigensolver(g1, p, q, a):
+    built = central_vertex_join(g1, generate("complete_bipartite", [p, q]))
+    assert _deviation(spectrum_cvjoin_kpq(g1, p, q, a), built, a) <= TOL_MATCH

@@ -219,3 +219,25 @@ def test_default_catalog_shape():
     assert len(singles) == 11
     assert len(pairs) == 12 + 6
     assert default_alpha_grid() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_coronal_sample_points_need_no_eigensolve(monkeypatch):
+    # points start above the largest degree, which bounds the spectral
+    # radius of A_alpha, so no eigensolver is needed to place them
+    pairs = [(generate("petersen"), generate("complete_bipartite", [1, 5])),
+             (generate("cycle", [7]), generate("complete", [4])),
+             (generate("path", [5]), Graph.from_edges(3, []))]
+    alphas = (0.0, 0.3, 1.0)
+    tops = {(k, a): max(np.linalg.eigvalsh(a_alpha_matrix(g, a)).max()
+                        for g in pair)
+            for k, pair in enumerate(pairs) for a in alphas}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolver called to place sample points")
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for k, (h1, h2) in enumerate(pairs):
+        for a in alphas:
+            pts = coronal_sample_points(h1, h2, a)
+            assert len(pts) == 2 * max(h1.n, h2.n) + 1
+            assert min(pts) > tops[k, a]
