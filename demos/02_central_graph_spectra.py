@@ -2,7 +2,7 @@
 """Closed-form spectra of central graphs, checked against the eigensolver.
 
 The central graph C(G) subdivides every edge of G once and joins all
-originally non-adjacent vertices. For a connected r-regular G (r >= 2) the
+originally non-adjacent vertices. For an r-regular G (r >= 2) the
 characteristic polynomial of A_alpha(C(G)) factors into a power of
 (x - 2 alpha), one quadratic from the all-ones direction, and one quadratic
 per remaining adjacency eigenvalue of G. This script roots those factors and

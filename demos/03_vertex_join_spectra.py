@@ -4,11 +4,10 @@
 The join takes C(G1) plus G2 and connects every original G1 vertex to every
 G2 vertex. With G1 regular, the characteristic polynomial factors into the
 subdivision power, shifted A_alpha(G2) eigenvalues, quadratics from G1, and
-a coronal factor: a cubic when G2 is regular, a quartic when G2 = K_{p,q},
-and an evaluable rational expression for arbitrary G2.
+a coronal factor of degree 2 + k, k the number of cells in the coarsest
+equitable partition of G2: a cubic when G2 is regular, a quartic when
+G2 = K_{p,q}, and rooted the same way for any other G2.
 """
-
-import numpy as np
 
 from alphacentral import (Graph, a_alpha_matrix, central_vertex_join,
                           charpoly_cvjoin, eigenvalues_sym, generate,
@@ -45,12 +44,14 @@ oracle = eigenvalues_sym(a_alpha_matrix(built, 0.25))
 dev = max(abs(x - y) for x, y in zip(closed.values, oracle.values))
 print(f"  {closed.n} values, max gap vs eigensolver {dev:.2e}")
 
-# arbitrary G2: the coronal factor stays evaluable-only
+# arbitrary G2: the paw has three cells, so its coronal factor is a quintic
 paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
-fac = charpoly_cvjoin(generate("complete", [3]), paw, 0.3)
-built = central_vertex_join(generate("complete", [3]), paw)
-from alphacentral import char_poly
-poly = char_poly(a_alpha_matrix(built, 0.3))
-print("\nK3 vjoin paw (generic G2): pointwise agreement of the factored form")
-for x in (8.0, -3.5):
-    print(f"  x={x}: factored {fac.evaluate(x):.10g}, full charpoly {poly(x):.10g}")
+k3 = generate("complete", [3])
+fac = charpoly_cvjoin(k3, paw, 0.3)
+coronal = next(f for f in fac.factors if f.label == "coronal")
+print(f"\nK3 vjoin paw (generic G2) at alpha=0.3: coronal factor of degree {coronal.degree}")
+closed = spectrum_cvjoin_regular(k3, paw, 0.3)
+oracle = eigenvalues_sym(a_alpha_matrix(central_vertex_join(k3, paw), 0.3))
+print("  rooted spectrum:", " ".join(f"{v:.6g}" for v in closed.values))
+dev = max(abs(x - y) for x, y in zip(closed.values, oracle.values))
+print(f"  {closed.n} values, max gap vs eigensolver {dev:.2e}")

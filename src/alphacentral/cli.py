@@ -116,7 +116,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run the formula-vs-eigensolver sweep")
     v.add_argument("--catalog", help="catalog file; default is the built-in catalog")
-    v.add_argument("--grid", default="0,0.25,0.5,0.75,1")
+    v.add_argument("--grid", default=",".join(map(str, verify_mod.default_alpha_grid())))
     v.add_argument("--json", action="store_true")
     v.add_argument("--csv", help="also write the report table to this CSV file")
 
@@ -125,7 +125,7 @@ def build_parser():
     co.add_argument("graph1")
     co.add_argument("graph2")
     co.add_argument("graphh")
-    co.add_argument("--grid", default="0,0.25,0.5,0.75,1")
+    co.add_argument("--grid", default=",".join(map(str, verify_mod.default_alpha_grid())))
     co.add_argument("--json", action="store_true")
     return p
 

@@ -2,9 +2,9 @@
 graph of a regular graph and for central vertex joins, evaluated without ever
 assembling the large matrix.
 
-For an r-regular G on n vertices (m = nr/2 edges, r >= 2, connected) with
-adjacency eigenvalues r = l_1 > l_2 >= ... >= l_n, the characteristic
-polynomial of A_alpha(central_graph(G)) factors as
+For an r-regular G on n vertices (m = nr/2 edges, r >= 2) with adjacency
+eigenvalues r = l_1 >= l_2 >= ... >= l_n, the characteristic polynomial of
+A_alpha(central_graph(G)) factors as
 
     (x - 2a)^(m-n)
     * [x^2 - (2a + n - 1 - r(1-a)) x + (2an - 2a + 2ar - 2r)]
@@ -21,13 +21,10 @@ and for the join of G1 (r1-regular) with an arbitrary G2 on n2 vertices,
     * [(x - 2a)(x - n1 - a n2 + (1-a) r1 + 1
                 - n1 (1-a)^2 Gamma(x - a n1)) - 2 r1 (1-a)^2]
 
-where Gamma is the coronal of A_alpha(G2). The coronal term clears to a
-cubic when G2 is regular (absorbing the mu_1 = r2 linear factor) and to a
-quartic when G2 = K_{p,q} (absorbing the two non-trivial eigenvalues); the
-quartic contributes exactly four roots, which is what makes the dimension
-count close. The (1-a)^2 power on the coronal coupling is the one confirmed
-against the dense eigensolver; see verify.formula_discrepancy_notes for the
-recorded check of the single-power variant.
+where Gamma is the coronal of A_alpha(G2). The (1-a)^2 power on the coronal
+coupling is the one confirmed against the dense eigensolver; see
+verify.formula_discrepancy_notes for the recorded check of the single-power
+variant.
 
 Every non-linear factor is rooted as the eigenvalues of a small symmetric
 block, so its roots are real by construction and two close but distinct
@@ -38,71 +35,50 @@ roots are never merged. The base-eigenvalue quadratics are the 2x2 blocks
 
 built for every l at once and rooted by one batched eigvalsh. The central
 principal factor is the central block at l_1 = r with (1-a) n added to its
-top-left entry. It, the coronal cubic and the coronal quartic are the
-symmetrized quotients of A_alpha over an equitable partition of the built
-graph (Godsil and Royle, Algebraic Graph Theory, section 9.3): part X has
-diagonal entry a d_X + (1-a) 2 e(X)/|X|, and parts X, Y are coupled by
-(1-a) e(X, Y)/sqrt(|X| |Y|), where d_X is the degree of a vertex of X and
-e counts edges. The parts are {V, S} (original and subdivision vertices),
-{V1, S, V2} and {V1, S, P, Q}. The blocks take the raw eigenvalue arrays
-of A(G1) and A_alpha(G2) with one Perron copy dropped; CLUSTER_TOL grouping
-only names and counts the factors (factors, to_json, evaluate) and never
-moves a root. Every root is checked against its factor as written above,
-to TOL_ROOT.
+top-left entry: the symmetrized quotient of A_alpha over the parts {V, S}
+(original and subdivision vertices) of the built graph.
+
+The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
+K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
+all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
+cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. One
+eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
+cell-constant vectors, sigma = 2 Delta(G2) + 1) lists the n2 - k other
+eigenvalues, the linear factors, first. The bracket times the k linear
+factors it cancels is the characteristic polynomial of the arrowhead
+
+    [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
+     [.,                            2a,                0                 ],
+     [.,                            0,                 diag(a n1 + v)    ]]
+
+the symmetrized quotient of A_alpha over V1, S and the cells of G2 (Godsil
+and Royle, Algebraic Graph Theory, section 9.3): 3x3 for regular G2, 4x4
+for K_{p,q}. Its roots are checked against the bracket in secular form.
+
+The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
+Perron copy dropped; CLUSTER_TOL grouping only names and counts the factors
+(factors, to_json) and never moves a root. Every root is checked against its
+factor as written above, to TOL_ROOT.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError, PreconditionError
-from .graphs import adjacency_matrix, as_complete_bipartite, is_connected, regularity
-from .spectra import (Polynomial, Spectrum, _coronal_spectral, _coronal_values,
-                      _eigh_checked, a_alpha_matrix)
+from .graphs import adjacency_matrix, equitable_partition, generate
+from .spectra import Polynomial, Spectrum, _eigh_checked, a_alpha_matrix
 
 TOL_MATCH = 1e-8
-TOL_DET = 1e-9
 TOL_ROOT = 1e-10
 
 
 @dataclass(frozen=True)
-class CoronalTerm:
-    """Evaluable coronal factor for a join with a generic (non-closed) G2.
-
-    Only the value at a point is available; the net degree it contributes
-    to the full product is 2 (numerator degree n2+2 over the charpoly of
-    A_alpha(G2), whose n2 linear factors are listed separately). It holds
-    the spectral pair (w, c) of A_alpha(G2) from spectra._coronal_spectral,
-    so Gamma(x) = sum(c / (x - w)) costs O(n2) per evaluation.
-    """
-
-    w: np.ndarray
-    c: np.ndarray
-    n1: int
-    n2: int
-    r1: int
-    alpha: float
-
-    @property
-    def degree(self):
-        return 2
-
-    def __call__(self, lam):
-        a = self.alpha
-        gamma = _coronal_values(self.w, self.c, lam - a * self.n1)
-        return ((lam - 2 * a)
-                * (lam - self.n1 - a * self.n2 + (1 - a) * self.r1 + 1
-                   - self.n1 * (1 - a) ** 2 * gamma)
-                - 2 * self.r1 * (1 - a) ** 2)
-
-
-@dataclass(frozen=True)
 class Factor:
-    """One factor of a FactoredCharPoly: a Polynomial or a CoronalTerm."""
+    """One factor of a FactoredCharPoly: a Polynomial, or the CoronalFactor."""
 
     poly: object
     mult: int
@@ -111,9 +87,6 @@ class Factor:
     @property
     def degree(self):
         return self.poly.degree
-
-    def is_polynomial(self):
-        return isinstance(self.poly, Polynomial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +117,9 @@ class FactorFamily:
     @property
     def count(self):
         return self.blocks.shape[0]
+
+    def factor(self, row):
+        return Polynomial.of(self.coeffs[row].tolist())
 
     def roots(self):
         """(k, d) array; row i holds the roots of factor i, ascending, each
@@ -180,6 +156,82 @@ class FactorFamily:
         return out
 
 
+_LOW_HIGH = np.array([[-1.0], [1.0]])  # F(z - h) <= 0 <= F(z + h)
+
+
+@dataclass(frozen=True, eq=False)
+class CoronalFactor:
+    """The join's coronal factor: the bracket of the factorization times the
+    k linear factors x - a n1 - v_i it cancels, of degree 2 + k, rooted as
+    the eigenvalues of the arrowhead block.
+
+    With (v_i, c_i) the cell-constant eigenpairs of A_alpha(G2), Gamma(y) =
+    sum(c / (y - v)). poles p = (2a, a n1 + v) and weights W = (2 r1 (1-a)^2,
+    n1 (1-a)^2 c) make the bracket divided by x - 2a the secular function
+    F(x) = x - t - sum(W / (x - p)), t = n1 + a n2 - (1-a) r1 - 1, and the
+    factor F(x) prod(x - p). F increases between consecutive poles (W >= 0).
+    """
+
+    block: np.ndarray
+    t: float
+    poles: np.ndarray
+    weights: np.ndarray
+    label = "coronal"
+    count = 1
+
+    @property
+    def degree(self):
+        return 1 + len(self.poles)
+
+    def __call__(self, x):
+        """The factor's value at x, F(x) prod(x - p) multiplied out so that
+        it stays finite at the poles."""
+        d = x - self.poles
+        others = np.where(np.eye(len(d), dtype=bool), 1.0, d).prod(axis=1)
+        return d.prod() * (x - self.t) - self.weights @ others
+
+    def roots(self):
+        """(1, 2 + k) array of the block's eigenvalues, ascending, each
+        within h = TOL_ROOT * max(1, |z|max) of a root of the factor.
+
+        F increases on each pole-free piece of [z - h, z + h] and runs from
+        -inf to +inf between two poles, so the interval holds a root iff
+        [F(z - h) <= 0] + [F(z + h) >= 0] + (poles inside) >= 2; a pole of
+        weight 0 is itself a root. No coefficient or product over the poles
+        is formed, so the bound holds at any k and any pole multiplicity.
+        """
+        z = np.linalg.eigvalsh(self.block)
+        h = TOL_ROOT * max(1.0, -z[0], z[-1])
+        y = z + h * _LOW_HIGH
+        F = y - self.t - (self.weights / (y[..., None] - self.poles)).sum(axis=-1)
+        signs = F * _LOW_HIGH >= 0
+        if signs.all():
+            return z[None, :]
+        ok = signs.sum(axis=0) + (np.abs(z[:, None] - self.poles) < h).sum(axis=1) >= 2
+        if not ok.all():
+            raise InternalCheckError(
+                f"coronal root {z[np.argmin(ok)]:.6g} is not within {h:.3e} of a "
+                "root of its factor in secular form")
+        return z[None, :]
+
+    def groups(self):
+        return [(self.label, 0, 1)]
+
+    def factor(self, row):
+        return self
+
+    @cached_property
+    def coeffs(self):
+        """Ascending monomial coefficients; for factors and to_json only."""
+        out = np.convolve(np.poly(self.poles), [1.0, -self.t])  # descending
+        for j, w in enumerate(self.weights):
+            out[2:] -= w * np.poly(np.delete(self.poles, j))
+        return tuple(out[::-1].tolist())
+
+    def to_json(self):
+        return {"coeffs": list(self.coeffs)}
+
+
 def _linears(label, roots, keys=None):
     roots = np.asarray(roots, dtype=float).reshape(-1)
     coeffs = np.ones((len(roots), 2))
@@ -201,39 +253,23 @@ def _quadratics(label, top, off, bottom, c0, c1, keys=None, lead=None):
     return FactorFamily(label, blocks, coeffs, keys, lead)
 
 
-def _quotient(label, sizes, degrees, edges, a, coeffs):
-    """One block: the symmetrized quotient of A_alpha over an equitable
-    partition. edges[X][Y] counts the edges between parts X and Y, and
-    edges[X][X] twice those inside X, so edges[X][Y] / |X| is the quotient
-    of the adjacency matrix."""
-    d = len(sizes)
-    block = [[(1 - a) * edges[i][j] / math.sqrt(sizes[i] * sizes[j])
-              + (a * degrees[i] if i == j else 0.0) for j in range(d)]
-             for i in range(d)]
-    return FactorFamily(label, np.array([block]), np.array([coeffs], dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredCharPoly:
     """Characteristic polynomial in factored form.
 
     linear_root/linear_mult hold the (x - 2 alpha)^k subdivision factor
-    (mult may be zero); families hold every other rootable factor, and
-    coronal_term the evaluable-only coronal of a generic G2. The factor
-    degrees always sum to the order of the implied matrix; construction
-    fails rather than pad.
+    (mult may be zero); families hold every other factor, each rooted by
+    its own blocks. The factor degrees always sum to the order of the
+    implied matrix; construction fails rather than pad.
     """
 
     linear_root: float
     linear_mult: int
     families: tuple
     order: int
-    coronal_term: CoronalTerm = None
 
     def __post_init__(self):
         total = self.linear_mult + sum(f.degree * f.count for f in self.families)
-        if self.coronal_term is not None:
-            total += self.coronal_term.degree
         if total != self.order:
             raise InternalCheckError(
                 f"factor degrees sum to {total}, expected matrix order {self.order}")
@@ -241,11 +277,8 @@ class FactoredCharPoly:
     @cached_property
     def factors(self):
         """One Factor per distinct factor, with its multiplicity."""
-        out = [Factor(Polynomial.of(fam.coeffs[start].tolist()), mult, label)
-               for fam in self.families for label, start, mult in fam.groups()]
-        if self.coronal_term is not None:
-            out.append(Factor(self.coronal_term, 1, "coronal"))
-        return tuple(out)
+        return tuple(Factor(fam.factor(start), mult, label)
+                     for fam in self.families for label, start, mult in fam.groups())
 
     def evaluate(self, lam):
         val = (lam - self.linear_root) ** self.linear_mult
@@ -255,7 +288,6 @@ class FactoredCharPoly:
 
     def roots(self):
         """All roots with multiplicity, descending, from the symmetric blocks."""
-        self._require_rootable()
         parts = [np.full(self.linear_mult, float(self.linear_root))]
         parts += [fam.roots().ravel() for fam in self.families]
         return np.sort(np.concatenate(parts))[::-1].tolist()
@@ -263,7 +295,6 @@ class FactoredCharPoly:
     def factor_roots(self):
         """(label, roots descending) for each entry of factors, from the same
         blocks as roots()."""
-        self._require_rootable()
         out = []
         for fam in self.families:
             z = fam.roots()
@@ -272,24 +303,9 @@ class FactoredCharPoly:
                                           reverse=True)))
         return out
 
-    def _require_rootable(self):
-        if self.coronal_term is not None:
-            raise PreconditionError(
-                "G2 is neither regular nor complete bipartite: the coronal factor "
-                "is evaluable only and has no closed root formula. Use "
-                "eigenvalues_sym (the spectrum command) on the explicitly built "
-                "graph instead.")
-
     def to_json(self):
-        factors = []
-        for f in self.factors:
-            if f.is_polynomial():
-                entry = dict(f.poly.to_json())
-            else:
-                entry = {"evaluable": True, "degree": f.degree}
-            entry["mult"] = f.mult
-            entry["label"] = f.label
-            factors.append(entry)
+        factors = [dict(f.poly.to_json(), mult=f.mult, label=f.label)
+                   for f in self.factors]
         return {"linear": {"root": float(self.linear_root), "mult": self.linear_mult},
                 "factors": factors}
 
@@ -313,15 +329,19 @@ def _float_alpha(alpha):
 # central graph of a regular graph
 
 def _require_regular_base(G, what):
-    r = regularity(G)
-    if r is None:
+    """Degree r of the base graph, which must be regular with r >= 2.
+
+    Connectivity is not needed: 1 is an r-eigenvector of A(G) whatever the
+    components, and the complement J - I - A maps an eigenvector orthogonal
+    to 1 of eigenvalue l to -1 - l times itself, so every other eigenvalue
+    (extra copies of r included) enters a base-eigenvalue factor.
+    """
+    deg = G.degree_sequence
+    r = deg[0]
+    if min(deg) != max(deg):
         raise PreconditionError(
             f"{what} needs a regular base graph; this one has degree spread "
-            f"{min(G.degree_sequence)}..{max(G.degree_sequence)}. "
-            "Use eigenvalues_sym on the explicitly built graph instead.")
-    if not is_connected(G):
-        raise PreconditionError(
-            f"{what} needs a connected base graph. "
+            f"{min(deg)}..{max(deg)}. "
             "Use eigenvalues_sym on the explicitly built graph instead.")
     if r < 2:
         raise PreconditionError(
@@ -348,14 +368,13 @@ def _f_principal_central(n, r, a):
 def charpoly_central_regular(G, alpha):
     """Factored characteristic polynomial of A_alpha(central_graph(G)).
 
-    G must be connected and r-regular with r >= 2. The adjacency
-    eigenvalues of G come from the dense eigensolver; the factor list keeps
-    their clustered multiplicities. Row 0 of the block stack belongs to the
-    Perron root r and gives the principal factor: the original vertices of
-    the central graph induce the complement J - I - A(G), which maps the
-    all-ones vector to n - 1 - r times itself but an eigenvector for l
-    orthogonal to it to -1 - l times itself, so row 0 gains (1-a) n on its
-    top-left entry.
+    G must be r-regular with r >= 2. The adjacency eigenvalues of G come
+    from the dense eigensolver; the factor list keeps their clustered
+    multiplicities. Row 0 of the block stack belongs to the Perron root r
+    and gives the principal factor: the original vertices of the central
+    graph induce the complement J - I - A(G), which maps the all-ones vector
+    to n - 1 - r times itself but an eigenvector for l orthogonal to it to
+    -1 - l times itself, so row 0 gains (1-a) n on its top-left entry.
     """
     a = _float_alpha(alpha)
     r = _require_regular_base(G, "central-graph closed form")
@@ -386,117 +405,67 @@ def _join_quadratics(l, n1, n2, r1, a):
                        -2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, keys=l)
 
 
-def _coronal_cubic(n1, r1, n2, r2, a):
-    """(x - 2a)[(x - s)(x - t) - n1 n2 (1-a)^2] - 2 r1 (1-a)^2 (x - s),
-    ascending, with s = a n1 + r2 and t = n1 + a n2 - (1-a) r1 - 1."""
-    s = a * n1 + r2
-    t = n1 + a * n2 - (1 - a) * r1 - 1
-    v = 2 * r1 * (1 - a) ** 2
-    i0, i1 = s * t - n1 * n2 * (1 - a) ** 2, -(s + t)  # the bracket
-    return (-2 * a * i0 + v * s, i0 - 2 * a * i1 - v, i1 - 2 * a, 1.0)
-
-
-def _coronal_quartic(n1, r1, p, q, a):
-    """(x - 2a)[D (x - t) - n1 (1-a)^2 N] - 2 r1 (1-a)^2 D, ascending, where
-    N/D is the coronal of A_alpha(K_{p,q}) (spectra.coronal_kpq_alpha) at
-    x - a n1 and t = n1 + a(p + q) - (1-a) r1 - 1."""
-    s, h = p + q, a * n1
-    d0, d1 = h * h + a * s * h + (2 * a - 1) * p * q, -2 * h - a * s  # D, monic
-    n0 = -s * h - a * s * s + 2 * p * q  # N = s x + n0
-    t = n1 + a * s - (1 - a) * r1 - 1
-    w, v = n1 * (1 - a) ** 2, 2 * r1 * (1 - a) ** 2
-    i0, i1, i2 = -t * d0 - w * n0, d0 - t * d1 - w * s, d1 - t  # the bracket
-    return (-2 * a * i0 - v * d0, i0 - 2 * a * i1 - v * d1, i1 - 2 * a * i2 - v,
-            i2 - 2 * a, 1.0)
-
-
 def charpoly_cvjoin(G1, g2, alpha):
     """Factored characteristic polynomial of A_alpha(central_vertex_join(G1, G2)).
 
-    G1 must be connected and r1-regular with r1 >= 2. g2 selects the route:
-
-    - (p, q) tuple: K_{p,q} with the coronal cleared to a quartic.
-    - regular Graph: coronal cleared to a cubic (one r2 eigenvalue absorbed).
-    - non-regular complete bipartite Graph: rerouted to the quartic.
-    - any other Graph: every eigenvalue of A_alpha(G2) appears as a linear
-      factor and the coronal term stays an evaluable rational expression.
+    G1 must be r1-regular with r1 >= 2; G2 is any Graph, or a (p, q) tuple
+    for K_{p,q}. The cells of G2 are its coarsest equitable partition, or
+    the parts {P, Q} for a tuple (so the coronal factor of K_{p,q} is a
+    quartic even when p = q). One checked eigendecomposition of
+    A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
+    orthogonal to the cell-constant vectors, listed as "g2-eigenvalue"
+    linear factors, and the k cell-constant pairs that build the coronal
+    arrowhead (see the module docstring).
     """
     a = _float_alpha(alpha)
     r1 = _require_regular_base(G1, "vertex-join closed form")
     n1, m1 = G1.n, G1.m
-
     if isinstance(g2, tuple):
         p, q = g2
         if p < 1 or q < 1:
             raise ParameterError(f"need p, q >= 1, got ({p}, {q})")
-        return _charpoly_cvjoin_kpq(G1, n1, m1, r1, p, q, a)
+        G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
+    else:
+        G2, colour = g2, [0] * g2.n
+        for i, cell in enumerate(equitable_partition(g2)):
+            for u in cell:
+                colour[u] = i
+    n2, k = G2.n, max(colour) + 1
 
-    G2 = g2
-    r2 = regularity(G2)
-    if r2 is None:
-        pq = as_complete_bipartite(G2)
-        if pq is not None:
-            return _charpoly_cvjoin_kpq(G1, n1, m1, r1, pq[0], pq[1], a)
-        return _charpoly_cvjoin_generic(G1, G2, n1, m1, r1, a)
+    # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at
+    # most its largest degree, so the cell-constant eigenvalues come last
+    M = a_alpha_matrix(G2, a)
+    sigma = 2 * M.sum(axis=1).max() + 1
+    colour = np.array(colour)
+    same = colour[:, None] == colour
+    M += sigma * (same / same.sum(axis=1))
+    w, V = _eigh_checked(M)
+    mu = w[:n2 - k][::-1]
+    c = V[:, n2 - k:].sum(axis=0) ** 2
 
-    n2 = G2.n
-    mu = _eigh_checked(a_alpha_matrix(G2, a))[0][-2::-1]  # drop r2
-    inner, sub = n1 * (n1 - 1) - 2 * m1, 2 * m1  # edge counts inside V1, V1 to S
-    coronal = _quotient("coronal", [n1, m1, n2], [n1 - 1 + n2, 2, n1 + r2],
-                        [[inner, sub, n1 * n2], [sub, 0, 0], [n1 * n2, 0, n2 * r2]],
-                        a, _coronal_cubic(n1, r1, n2, r2, a))
+    diagonal = np.concatenate(([a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1), 2 * a],
+                               w[n2 - k:] + (a * n1 - sigma)))
+    weights = np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))
+    block = np.diag(diagonal)
+    block[0, 1:] = block[1:, 0] = np.sqrt(weights)
+    coronal = CoronalFactor(block, n1 + a * n2 - (1 - a) * r1 - 1, diagonal[1:], weights)
     families = (_linears("g2-eigenvalue", a * n1 + mu, keys=mu),
-                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a),
-                coronal)
+                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a), coronal)
     return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
 
 
-def _charpoly_cvjoin_kpq(G1, n1, m1, r1, p, q, a):
-    inner, sub = n1 * (n1 - 1) - 2 * m1, 2 * m1
-    coronal = _quotient("coronal", [n1, m1, p, q], [n1 - 1 + p + q, 2, n1 + q, n1 + p],
-                        [[inner, sub, n1 * p, n1 * q], [sub, 0, 0, 0],
-                         [n1 * p, 0, 0, p * q], [n1 * q, 0, p * q, 0]],
-                        a, _coronal_quartic(n1, r1, p, q, a))
-    families = (_linears("bipartite-part-q", np.full(q - 1, a * (n1 + p))),
-                _linears("bipartite-part-p", np.full(p - 1, a * (n1 + q))),
-                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, p + q, r1, a),
-                coronal)
-    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + p + q)
-
-
-def _charpoly_cvjoin_generic(G1, G2, n1, m1, r1, a):
-    w, c = _coronal_spectral(a_alpha_matrix(G2, a))
-    families = (_linears("g2-eigenvalue", a * n1 + w[::-1], keys=w[::-1]),
-                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, G2.n, r1, a))
-    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + G2.n,
-                            CoronalTerm(w, c, n1, G2.n, r1, a))
-
-
 def spectrum_cvjoin_regular(G1, G2, alpha):
-    """Spectrum of A_alpha(central_vertex_join(G1, G2)) for regular G1, G2.
+    """Spectrum of A_alpha(central_vertex_join(G1, G2)) for any Graph G2.
 
-    Assembles 2*alpha with multiplicity m1 - n1, the shifted A_alpha(G2)
-    eigenvalues, the 2(n1 - 1) roots of the base-eigenvalue blocks, and the
-    three eigenvalues of the coronal block.
+    The name is historical: G2 once had to be regular. Assembles 2*alpha
+    with multiplicity m1 - n1, the shifted A_alpha(G2) eigenvalues, the
+    2(n1 - 1) roots of the base-eigenvalue blocks, and the 2 + k
+    eigenvalues of the coronal arrowhead.
     """
-    r2 = regularity(G2)
-    if r2 is None:
-        raise PreconditionError("spectrum_cvjoin_regular needs a regular G2; "
-                                "use spectrum_cvjoin_kpq or the eigensolver")
-    if not is_connected(G2):
-        raise PreconditionError("spectrum_cvjoin_regular needs a connected G2")
     return _spectrum(charpoly_cvjoin(G1, G2, alpha))
 
 
 def spectrum_cvjoin_kpq(G1, p, q, alpha):
-    """Spectrum of A_alpha(central_vertex_join(G1, K_{p,q})).
-
-    The coronal-cleared factor must contribute exactly four roots for the
-    dimension count m1 + n1 + p + q to close; a mismatch raises rather than
-    padding.
-    """
-    fac = charpoly_cvjoin(G1, (p, q), alpha)
-    coronal = [f for f in fac.families if f.label == "coronal"]
-    if len(coronal) != 1 or coronal[0].degree * coronal[0].count != 4:
-        raise InternalCheckError("coronal factor must contribute exactly 4 roots")
-    return _spectrum(fac)
+    """Spectrum of A_alpha(central_vertex_join(G1, K_{p,q})); the coronal
+    factor over the parts {P, Q} contributes four roots."""
+    return _spectrum(charpoly_cvjoin(G1, (p, q), alpha))

@@ -268,6 +268,34 @@ def is_connected(G):
     return len(seen) == G.n
 
 
+def equitable_partition(G):
+    """Coarsest equitable partition of G (every vertex of cell X has the
+    same number of neighbours in cell Y), as ascending vertex lists ordered
+    by first vertex. Colour refinement from the degrees recolours each
+    vertex by its colour and its neighbours' colour multiset until a round
+    splits no cell; a regular graph is one cell.
+    """
+    ids = {}
+    colour = [ids.setdefault(d, len(ids)) for d in G.degree_sequence]
+    count = len(ids)
+    if count > 1:
+        adj = [[] for _ in range(G.n)]
+        for i, j in G.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        while True:
+            ids = {}
+            new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
+                                  len(ids)) for v in range(G.n)]
+            if len(ids) == count:
+                break
+            colour, count = new, len(ids)
+    cells = [[] for _ in range(count)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    return cells
+
+
 def as_complete_bipartite(G):
     """Return (p, q) if G is a complete bipartite graph K_{p,q}, else None."""
     if G.m == 0:

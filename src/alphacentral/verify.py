@@ -23,8 +23,7 @@ from .closedform import (TOL_MATCH, charpoly_cvjoin, spectrum_central_regular,
                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError, SingularityError
-from .graphs import (Graph, as_complete_bipartite, generate, is_connected,
-                     nonisomorphism_witness, regularity)
+from .graphs import Graph, generate, nonisomorphism_witness, regularity
 from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, _check_alpha,
                       _coronal_spectral, _coronal_values, a_alpha_matrix, char_poly,
                       eigenvalues_sym)
@@ -172,7 +171,9 @@ def default_catalog():
 
 
 def default_alpha_grid():
-    return [0.0, 0.25, 0.5, 0.75, 1.0]
+    """The sweep's alphas; 0.9999 and 0.99999999 probe the band near 1,
+    where distinct closed-form roots lie O(1 - alpha) apart."""
+    return [0.0, 0.25, 0.5, 0.75, 0.9999, 0.99999999, 1.0]
 
 
 def _case_label(entry):
@@ -191,18 +192,10 @@ def _closed_and_built(entry, alpha):
                 "central-factorization")
     g1, second = entry
     if isinstance(second, tuple):
-        p, q = second
-        built = central_vertex_join(g1, generate("complete_bipartite", [p, q]))
-        return spectrum_cvjoin_kpq(g1, p, q, alpha), built, "cvjoin-kpq-factorization"
-    if regularity(second) is not None and is_connected(second):
-        built = central_vertex_join(g1, second)
-        return spectrum_cvjoin_regular(g1, second, alpha), built, "cvjoin-regular-factorization"
-    pq = as_complete_bipartite(second)
-    if pq is not None:
-        built = central_vertex_join(g1, second)
-        return spectrum_cvjoin_kpq(g1, pq[0], pq[1], alpha), built, "cvjoin-kpq-factorization"
-    raise PreconditionError("second graph is neither regular nor K_{p,q}; "
-                            "no rooted closed form, use the eigensolver")
+        built = central_vertex_join(g1, generate("complete_bipartite", list(second)))
+        return spectrum_cvjoin_kpq(g1, *second, alpha), built, "cvjoin-kpq-factorization"
+    return (spectrum_cvjoin_regular(g1, second, alpha), central_vertex_join(g1, second),
+            "cvjoin-factorization")
 
 
 def sweep(catalog, alpha_grid, include_formula_notes=True):

@@ -117,9 +117,10 @@ def test_closed_spectrum_precondition_exit(capsys, tmp_path):
     assert code == 2 and "precondition" in err
     paw = tmp_path / "paw.txt"
     paw.write_text("4\n0 1\n0 2\n1 2\n2 3\n")
-    code, _, err = run(capsys, "closed-spectrum", "cvjoin", "complete:3",
+    # a G2 that is neither regular nor K_{p,q} is rooted like any other
+    code, out, _ = run(capsys, "closed-spectrum", "cvjoin", "complete:3",
                        str(paw), "--alpha", "0.5")
-    assert code == 2
+    assert code == 0 and "coronal" in out
 
 
 def test_closed_spectrum_exact_alpha_refused(capsys):

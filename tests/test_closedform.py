@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from alphacentral import (Graph, InternalCheckError, PreconditionError,
                           a_alpha_matrix, central_graph, central_vertex_join,
                           char_poly, charpoly_central_regular, charpoly_cvjoin,
-                          eigenvalues_sym, generate, spectrum_central_regular,
-                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
+                          eigenvalues_sym, equitable_partition, generate,
+                          spectrum_central_regular, spectrum_cvjoin_kpq,
+                          spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH, FactorFamily, _quadratics
 from alphacentral.exactalg import det_exact
 
@@ -121,10 +123,11 @@ def test_central_preconditions():
         spectrum_central_regular(generate("complete", [2]), 0.5)
     with pytest.raises(PreconditionError, match="regular"):
         spectrum_central_regular(generate("complete_bipartite", [2, 3]), 0.5)
+    # connectivity is not needed: 2 K3 matches the oracle
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                          (3, 4), (4, 5), (3, 5)])
-    with pytest.raises(PreconditionError, match="connected"):
-        spectrum_central_regular(two_triangles, 0.5)
+    closed = spectrum_central_regular(two_triangles, 0.5)
+    assert _max_dev(closed, _oracle(central_graph(two_triangles), 0.5)) <= TOL_MATCH
     # the error directs callers to the oracle path
     with pytest.raises(PreconditionError, match="eigenvalues_sym"):
         spectrum_central_regular(generate("complete", [2]), 0.5)
@@ -234,9 +237,10 @@ def test_cvjoin_petersen_1_1_no_part_factors():
 
 
 def test_cvjoin_kpq_part_multiplicity():
-    # alpha (n1 + p) appears q - 1 times for (C4, p=2, q=4)
+    # alpha (n1 + p) appears q - 1 times for (C4, p=2, q=4): the vectors on
+    # Q that sum to 0 have A_alpha(K_{2,4}) eigenvalue alpha p
     fac = charpoly_cvjoin(generate("cycle", [4]), (2, 4), 0.25)
-    part_q = next(f for f in fac.factors if f.label == "bipartite-part-q")
+    part_q = next(f for f in fac.factors if f.label == "g2-eigenvalue 0.5")
     assert part_q.mult == 3
     root = -part_q.poly.coeffs[0] / part_q.poly.coeffs[1]
     assert root == pytest.approx(0.25 * (4 + 2))
@@ -247,33 +251,34 @@ def test_cvjoin_preconditions():
         charpoly_cvjoin(generate("complete", [2]), generate("complete", [3]), 0.5)
     with pytest.raises(PreconditionError, match="regular"):
         charpoly_cvjoin(PAW, generate("complete", [3]), 0.5)
-    with pytest.raises(PreconditionError, match="regular"):
-        spectrum_cvjoin_regular(generate("complete", [3]), PAW, 0.5)
+    # G2 needs no precondition
+    assert spectrum_cvjoin_regular(generate("complete", [3]), PAW, 0.5).n == 10
 
 
 def test_cvjoin_generic_g2_evaluates():
-    # PAW is neither regular nor complete bipartite: the coronal factor is
-    # evaluable only, and the product still reproduces the characteristic
-    # polynomial pointwise
+    # PAW is neither regular nor complete bipartite: its coronal factor is
+    # rooted like any other, and the product still reproduces the
+    # characteristic polynomial pointwise
     g1 = generate("complete", [3])
     fac = charpoly_cvjoin(g1, PAW, 0.3)
     assert fac.order == 3 + 3 + 4
-    with pytest.raises(PreconditionError):
-        fac.roots()
     built = central_vertex_join(g1, PAW)
+    assert _max_dev(spectrum_cvjoin_regular(g1, PAW, 0.3), _oracle(built, 0.3)) <= TOL_MATCH
     poly = char_poly(a_alpha_matrix(built, 0.3))
     for x in (12.0, -4.7, 20.25):
         assert fac.evaluate(x) == pytest.approx(poly(x), rel=1e-8)
 
 
 def test_cvjoin_generic_evaluate_needs_no_eigensolver(monkeypatch):
-    # the coronal term keeps the spectral pair of A_alpha(G2), so evaluating
-    # the factored form at a point runs no eigensolver and no linear solve
+    # the coronal factor keeps the cell-constant eigenpairs of A_alpha(G2)
+    # (paw has 3 cells), so evaluating the factored form at a point runs no
+    # eigensolver and no linear solve
     g1 = generate("complete", [3])
     fac = charpoly_cvjoin(g1, PAW, 0.3)
     term = next(f.poly for f in fac.factors if f.label == "coronal")
-    assert term.w.shape == term.c.shape == (PAW.n,)
-    assert sum(term.c) == pytest.approx(PAW.n)
+    # poles 2 alpha and alpha n1 + v_i; weights n1 (1-alpha)^2 c_i past the first
+    assert term.poles.shape == term.weights.shape == (1 + 3,)
+    assert sum(term.weights[1:]) == pytest.approx(g1.n * 0.7 ** 2 * PAW.n)
     poly = char_poly(a_alpha_matrix(central_vertex_join(g1, PAW), 0.3))
 
     def forbidden(*args, **kwargs):
@@ -360,3 +365,108 @@ def test_close_g2_eigenvalues_keep_their_roots():
     want = sorted(np.linalg.eigvalsh(a_alpha_matrix(g2, a))[:-1] + a * g1.n)
     assert roots == pytest.approx(want, abs=1e-12)
     assert roots[-1] - roots[0] > 2e-8
+
+
+# --- the coronal arrowhead for any G2
+
+def _seeded_graph(seed, n, density):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < density])
+
+
+def _coronal(fac):
+    return next(f.poly for f in fac.factors if f.label == "coronal")
+
+
+def test_coronal_json_matches_cubic_and_quartic():
+    # coefficients of the hand-expanded cubic (regular G2) and quartic
+    # (K_{2,3}) that the arrowhead replaced, at alpha = 0.3
+    pet = generate("petersen")
+    for second, want in ((generate("cycle", [5]), [4.2, 22.6, -14.0, 1.0]),
+                         ((2, 3), [-7.56, -49.5, 56.2, -16.5, 1.0])):
+        j = charpoly_cvjoin(pet, second, 0.3).to_json()
+        (got,) = [f["coeffs"] for f in j["factors"] if f["label"] == "coronal"]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_cvjoin_kpq_3_3_alpha_one_repeated_cell_eigenvalue():
+    # A_1(K_{3,3}) = 3I: both cell-constant eigenvalues are 3 and every
+    # coupling vanishes, so the arrowhead is diagonal with a repeated entry
+    g1 = generate("petersen")
+    fac = charpoly_cvjoin(g1, (3, 3), 1.0)
+    coronal = _coronal(fac)
+    assert coronal.degree == 4
+    assert coronal.poles[1:] == pytest.approx([g1.n + 3.0] * 2, abs=1e-12)
+    built = central_vertex_join(g1, generate("complete_bipartite", [3, 3]))
+    assert _max_dev(spectrum_cvjoin_kpq(g1, 3, 3, 1.0), _oracle(built, 1.0)) <= TOL_MATCH
+
+
+def test_coronal_block_disagreeing_with_factor_raises():
+    fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.3)
+    coronal = _coronal(fac)
+    shifted = coronal.block.copy()
+    shifted[0, 0] += 1e-6
+    # a cell decoupled from V1 puts a root on a pole of nonzero weight,
+    # where the factor has none
+    decoupled = coronal.block.copy()
+    decoupled[0, 2] = decoupled[2, 0] = 0.0
+    for block in (shifted, decoupled):
+        with pytest.raises(InternalCheckError, match="coronal root"):
+            dataclasses.replace(coronal, block=block).roots()
+
+
+def test_cvjoin_disconnected_base_matches_oracle():
+    two_c4 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                  (4, 5), (5, 6), (6, 7), (4, 7)])
+    two_k3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g2 in (generate("complete", [2]), two_k3, generate("complete_bipartite", [2, 3])):
+        for a in (0.0, 0.3, 0.9999, 1.0):
+            closed = spectrum_cvjoin_regular(two_c4, g2, a)
+            assert _max_dev(closed, _oracle(central_vertex_join(two_c4, g2), a)) <= TOL_MATCH
+
+
+def _faddeev_leverrier(B):
+    """Ascending characteristic polynomial coefficients of B, in floats."""
+    n = len(B)
+    M, coeffs = np.zeros_like(B), [1.0]
+    for k in range(1, n + 1):
+        M = B @ M + coeffs[-1] * np.eye(n)
+        coeffs.append(-np.trace(B @ M) / k)
+    return np.array(coeffs[::-1])
+
+
+def test_coronal_secular_check_where_monomial_check_fails():
+    # G2 of order 12 with 12 cells: the 14 x 14 arrowhead's Faddeev-LeVerrier
+    # coefficients fail the monomial residual check at the block's
+    # eigenvalues, which the secular check accepts and the oracle confirms
+    g1, g2, a = generate("petersen"), _seeded_graph(3, 12, 0.3), 0.3
+    fac = charpoly_cvjoin(g1, g2, a)
+    coronal = _coronal(fac)
+    assert coronal.degree == 14
+    monomial = FactorFamily("coronal", coronal.block[None],
+                            _faddeev_leverrier(coronal.block)[None])
+    with pytest.raises(InternalCheckError):
+        monomial.roots()
+    built = central_vertex_join(g1, g2)
+    assert _max_dev(spectrum_cvjoin_regular(g1, g2, a), _oracle(built, a)) <= TOL_MATCH
+
+
+def test_cvjoin_order_60_g2():
+    # 60 cells: the arrowhead is 62 x 62. Roots and evaluate() match the
+    # oracle, while the monomial coefficients multiplied out from the same
+    # roots lose the factor's value inside the spectrum
+    g1, g2 = generate("cycle", [4]), _seeded_graph(3, 60, 0.1)
+    assert len(equitable_partition(g2)) >= 40
+    built = central_vertex_join(g1, g2)
+    for a in (0.3, 0.7):
+        fac = charpoly_cvjoin(g1, g2, a)
+        oracle = np.linalg.eigvalsh(a_alpha_matrix(built, a))
+        assert np.max(np.abs(np.sort(fac.roots()) - oracle)) <= 1e-8
+        coronal = _coronal(fac)
+        z = coronal.roots()[0]
+        x = (z[20] + z[21]) / 2
+        for y in (oracle[-1] + 1.0, oracle[0] - 0.5, x):
+            assert fac.evaluate(y) == pytest.approx(np.prod(y - oracle), rel=1e-8)
+        from_roots = np.polynomial.polynomial.polyval(x, np.poly(z)[::-1])
+        assert abs(from_roots / coronal(x) - 1) > 1e-8

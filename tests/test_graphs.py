@@ -6,7 +6,8 @@ import pytest
 
 from alphacentral import (Graph, ParameterError, ParseError, adjacency_matrix,
                           as_complete_bipartite, complement, degree_matrix,
-                          format_edge_list, generate, incidence_matrix,
+                          equitable_partition, format_edge_list, generate,
+                          incidence_matrix,
                           is_connected, nonisomorphism_witness,
                           parse_edge_list, regularity)
 from alphacentral.construct import central_vertex_join
@@ -277,3 +278,26 @@ def test_witness_matches_python_probes():
         assert nonisomorphism_witness(g1, g2) == _python_witness(g1, g2)
     wit = nonisomorphism_witness(graphs[-2], graphs[-1])
     assert wit[0] == "4-clique count" and wit[1] != wit[2]
+
+
+def _is_equitable(G, cells):
+    nbrs = _nbrs(G)
+    return all(len({len(nbrs[u] & set(Y)) for u in X}) == 1
+               for X in cells for Y in cells)
+
+
+def test_equitable_partition():
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert equitable_partition(paw) == [[0, 1], [2], [3]]
+    assert equitable_partition(generate("path", [5])) == [[0, 4], [1, 3], [2]]
+    assert equitable_partition(generate("complete_bipartite", [2, 3])) == [[0, 1], [2, 3, 4]]
+    for g in (generate("petersen"), generate("shrikhande"), generate("cycle", [7]),
+              generate("complete_bipartite", [3, 3]), Graph.from_edges(5, [])):
+        assert equitable_partition(g) == [list(range(g.n))]
+    rng = random.Random(3)
+    graphs = [_seeded_graph(rng, rng.randint(1, 30), rng.choice((0.05, 0.1, 0.3)))
+              for _ in range(40)] + _invariant_pairs()
+    for g in graphs:
+        cells = equitable_partition(g)
+        assert sorted(u for X in cells for u in X) == list(range(g.n))
+        assert _is_equitable(g, cells)

@@ -1,8 +1,9 @@
 """Property tests: every rooted closed form against the eigensolver on the
-explicitly built matrix, over regular graphs and alphas drawn near 0, 1/2
-and 1 as well as uniformly."""
+explicitly built matrix, over regular base graphs, arbitrary second graphs
+of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -47,6 +48,16 @@ def regular_graphs(draw, min_degree):
     return random_regular(n, r, draw(st.integers(0, 2**16)))
 
 
+@st.composite
+def any_graphs(draw, max_order):
+    """Any simple graph of order 1..max_order, the edgeless and the
+    disconnected ones included."""
+    n = draw(st.integers(1, max_order))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
 alphas = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1e-6),
@@ -88,3 +99,10 @@ def test_regular_join_closed_form_matches_eigensolver(g1, g2, a):
 def test_kpq_join_closed_form_matches_eigensolver(g1, p, q, a):
     built = central_vertex_join(g1, generate("complete_bipartite", [p, q]))
     assert _deviation(spectrum_cvjoin_kpq(g1, p, q, a), built, a) <= TOL_MATCH
+
+
+@SETTINGS
+@given(g1=regular_graphs(min_degree=2), g2=any_graphs(max_order=12), a=alphas)
+def test_any_join_closed_form_matches_eigensolver(g1, g2, a):
+    closed = spectrum_cvjoin_regular(g1, g2, a)
+    assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH

@@ -37,11 +37,12 @@ def test_sweep_skips_low_degree_first_graph():
     assert "r >= 2" in case.note and "r=1" in case.note
 
 
-def test_sweep_skips_generic_second_graph():
+def test_sweep_checks_generic_second_graph():
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
     report = sweep([(generate("complete", [3]), paw)], [0.5],
                    include_formula_notes=False)
-    assert report.cases[0].status == "skip"
+    assert report.cases[0].status == "pass"
+    assert report.cases[0].source == "cvjoin-factorization"
 
 
 def test_sweep_empty_grid():
@@ -218,7 +219,7 @@ def test_default_catalog_shape():
     pairs = [e for e in entries if isinstance(e, tuple)]
     assert len(singles) == 11
     assert len(pairs) == 12 + 6
-    assert default_alpha_grid() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert default_alpha_grid() == [0.0, 0.25, 0.5, 0.75, 0.9999, 0.99999999, 1.0]
 
 
 def test_coronal_sample_points_need_no_eigensolve(monkeypatch):
