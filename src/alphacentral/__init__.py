@@ -8,10 +8,10 @@ from .closedform import (FactoredCharPoly, charpoly_central_regular,
 from .construct import central_graph, central_vertex_join
 from .errors import (InternalCheckError, ParameterError, ParseError,
                      PreconditionError, SingularityError)
-from .graphs import (Graph, adjacency_matrix, as_complete_bipartite,
-                     complement, degree_matrix, equitable_partition,
-                     format_edge_list, generate, incidence_matrix, is_connected,
-                     nonisomorphism_witness, parse_edge_list, regularity)
+from .graphs import (Graph, adjacency_matrix, complement, degree_matrix,
+                     equitable_partition, format_edge_list, generate,
+                     incidence_matrix, is_connected, nonisomorphism_witness,
+                     parse_edge_list, regularity)
 from .spectra import (Polynomial, RationalFunction, Spectrum, a_alpha_energy,
                       a_alpha_matrix, char_poly, coronal_eval,
                       coronal_kpq_alpha, coronal_regular, eigenvalues_sym,
@@ -28,7 +28,7 @@ __all__ = [
     "VerificationReport",
     "generate", "parse_edge_list", "format_edge_list", "adjacency_matrix",
     "degree_matrix", "incidence_matrix", "complement", "regularity",
-    "is_connected", "as_complete_bipartite", "equitable_partition",
+    "is_connected", "equitable_partition",
     "nonisomorphism_witness",
     "a_alpha_matrix", "eigenvalues_sym", "char_poly", "coronal_eval",
     "coronal_regular", "coronal_kpq_alpha", "hoffman_poly", "a_alpha_energy",

@@ -1,18 +1,11 @@
-"""Factored characteristic polynomials and explicit spectra for the central
-graph of a regular graph and for central vertex joins, evaluated without ever
-assembling the large matrix.
+"""Factored characteristic polynomials and explicit spectra for central
+vertex joins and central graphs, evaluated without ever assembling the large
+matrix.
 
-For an r-regular G on n vertices (m = nr/2 edges, r >= 2) with adjacency
-eigenvalues r = l_1 >= l_2 >= ... >= l_n, the characteristic polynomial of
-A_alpha(central_graph(G)) factors as
-
-    (x - 2a)^(m-n)
-    * [x^2 - (2a + n - 1 - r(1-a)) x + (2an - 2a + 2ar - 2r)]
-    * prod over i >= 2 of
-      [x^2 + ((1-a) l_i - 2a - na + 1) x
-           - (1-a^2) l_i + (2n-r) a^2 - 2a(1-r) - r]
-
-and for the join of G1 (r1-regular) with an arbitrary G2 on n2 vertices,
+For G1 r1-regular on n1 vertices (m1 = n1 r1/2 edges, r1 >= 2) with
+adjacency eigenvalues r1 = l_1 >= l_2 >= ... >= l_n1, and any G2 on n2
+vertices, the characteristic polynomial of A_alpha(central_vertex_join(G1, G2))
+factors as
 
     (x - 2a)^(m1-n1)
     * prod over i of (x - a n1 - mu_i)          mu_i = eigenvalues of A_alpha(G2)
@@ -26,34 +19,38 @@ coupling is the one confirmed against the dense eigensolver; see
 verify.formula_discrepancy_notes for the recorded check of the single-power
 variant.
 
+The central graph C(G) is the join with an empty G2: n2 = 0, no mu_i, and
+Gamma = 0, so with n = n1 and r = r1 its polynomial is the n2 = 0 case of
+the one above, and the last bracket is the paper's principal factor
+x^2 - (2a + n - 1 - r(1-a)) x + (2an - 2a + 2ar - 2r). Both go through one
+route, which takes G2 only as the split described below.
+
 Every non-linear factor is rooted as the eigenvalues of a small symmetric
 block, so its roots are real by construction and two close but distinct
 roots are never merged. The base-eigenvalue quadratics are the 2x2 blocks
 
-    central:  [[a(n-1) - (1-a)(1 + l_i),     (1-a) sqrt(l_i + r)],  [., 2a]]
-    join:     [[a(n1+n2) - (1-a) l_j - 1,    (1-a) sqrt(l_j + r1)], [., 2a]]
+    [[a(n1+n2) - (1-a) l_j - 1,    (1-a) sqrt(l_j + r1)], [., 2a]]
 
-built for every l at once and rooted by one batched eigvalsh. The central
-principal factor is the central block at l_1 = r with (1-a) n added to its
-top-left entry: the symmetrized quotient of A_alpha over the parts {V, S}
-(original and subdivision vertices) of the built graph.
+built for every l at once and rooted by one batched eigvalsh.
 
 The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
 K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
 all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
 cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. One
 eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
-cell-constant vectors, sigma = 2 Delta(G2) + 1) lists the n2 - k other
-eigenvalues, the linear factors, first. The bracket times the k linear
-factors it cancels is the characteristic polynomial of the arrowhead
+cell-constant vectors, sigma = 2 Delta(G2) + 1) splits G2 into the n2 - k
+other eigenvalues, the linear factors, and the k pairs (v_i, c_i); the
+central graph's split is empty. The last bracket times the k linear factors
+it cancels is the characteristic polynomial of the arrowhead
 
     [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
      [.,                            2a,                0                 ],
      [.,                            0,                 diag(a n1 + v)    ]]
 
 the symmetrized quotient of A_alpha over V1, S and the cells of G2 (Godsil
-and Royle, Algebraic Graph Theory, section 9.3): 3x3 for regular G2, 4x4
-for K_{p,q}. Its roots are checked against the bracket in secular form.
+and Royle, Algebraic Graph Theory, section 9.3): 2x2 for the central graph
+(k = 0), 3x3 for regular G2, 4x4 for K_{p,q}. Its roots are checked against
+the bracket in secular form.
 
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
 Perron copy dropped; CLUSTER_TOL grouping only names and counts the factors
@@ -100,15 +97,13 @@ class FactorFamily:
     when given, is the eigenvalue each factor comes from, descending:
     factors whose keys lie within CLUSTER_TOL are listed as one factor with
     multiplicity, labelled "label key". Without keys the k factors are
-    equal. lead, when given, names row 0 as a factor of its own, and keys
-    then belong to rows 1..k-1.
+    equal.
     """
 
     label: str
     blocks: np.ndarray
     coeffs: np.ndarray
     keys: np.ndarray = None
-    lead: str = None
 
     @property
     def degree(self):
@@ -145,25 +140,24 @@ class FactorFamily:
 
     def groups(self):
         """(label, first row, multiplicity) per distinct factor."""
-        out, start = ([(self.lead, 0, 1)], 1) if self.lead else ([], 0)
         if self.keys is None:
-            if self.count > start:
-                out.append((self.label, start, self.count - start))
-            return out
+            return [(self.label, 0, self.count)] if self.count else []
+        out, start = [], 0
         for key, mult in Spectrum.from_values(self.keys).groups:
             out.append((f"{self.label} {key:.10g}", start, mult))
             start += mult
         return out
 
 
-_LOW_HIGH = np.array([[-1.0], [1.0]])  # F(z - h) <= 0 <= F(z + h)
+_ENDS = np.array([[1.0], [-1.0]])  # rows z - h and -(z + h) of CoronalFactor.roots
 
 
 @dataclass(frozen=True, eq=False)
 class CoronalFactor:
     """The join's coronal factor: the bracket of the factorization times the
     k linear factors x - a n1 - v_i it cancels, of degree 2 + k, rooted as
-    the eigenvalues of the arrowhead block.
+    the eigenvalues of the arrowhead block. label names it: "coronal" for a
+    join, "principal" for a central graph (k = 0).
 
     With (v_i, c_i) the cell-constant eigenpairs of A_alpha(G2), Gamma(y) =
     sum(c / (y - v)). poles p = (2a, a n1 + v) and weights W = (2 r1 (1-a)^2,
@@ -176,7 +170,7 @@ class CoronalFactor:
     t: float
     poles: np.ndarray
     weights: np.ndarray
-    label = "coronal"
+    label: str
     count = 1
 
     @property
@@ -194,23 +188,30 @@ class CoronalFactor:
         """(1, 2 + k) array of the block's eigenvalues, ascending, each
         within h = TOL_ROOT * max(1, |z|max) of a root of the factor.
 
-        F increases on each pole-free piece of [z - h, z + h] and runs from
-        -inf to +inf between two poles, so the interval holds a root iff
-        [F(z - h) <= 0] + [F(z + h) >= 0] + (poles inside) >= 2; a pole of
-        weight 0 is itself a root. No coefficient or product over the poles
-        is formed, so the bound holds at any k and any pole multiplicity.
+        F increases on each pole-free piece of [lo, hi] = [z - h, z + h] and
+        runs from -inf to +inf between two poles, so the interval holds a
+        root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2; a
+        pole of weight 0 is itself a root. -F(hi) is the secular function
+        with t and the poles negated, taken at -hi, so at both ends the
+        denominators are the end minus a pole: where an end falls on a pole
+        that is +0, which gives F's limit from inside the interval. An end
+        on a pole of weight 0 gives nan and counts as neither sign. No
+        coefficient or product over the poles is formed, so the bound holds
+        at any k and any pole multiplicity.
         """
         z = np.linalg.eigvalsh(self.block)
         h = TOL_ROOT * max(1.0, -z[0], z[-1])
-        y = z + h * _LOW_HIGH
-        F = y - self.t - (self.weights / (y[..., None] - self.poles)).sum(axis=-1)
-        signs = F * _LOW_HIGH >= 0
+        y = _ENDS * z - h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = y[..., None] - _ENDS[..., None] * self.poles
+            signs = y - _ENDS * self.t - (self.weights / d).sum(axis=-1) <= 0
         if signs.all():
             return z[None, :]
-        ok = signs.sum(axis=0) + (np.abs(z[:, None] - self.poles) < h).sum(axis=1) >= 2
+        inside = ((y[0][:, None] < self.poles) & (self.poles < -y[1][:, None])).sum(axis=1)
+        ok = signs.sum(axis=0) + inside >= 2
         if not ok.all():
             raise InternalCheckError(
-                f"coronal root {z[np.argmin(ok)]:.6g} is not within {h:.3e} of a "
+                f"{self.label} root {z[np.argmin(ok)]:.6g} is not within {h:.3e} of a "
                 "root of its factor in secular form")
         return z[None, :]
 
@@ -239,7 +240,7 @@ def _linears(label, roots, keys=None):
     return FactorFamily(label, roots.reshape(-1, 1, 1), coeffs, keys)
 
 
-def _quadratics(label, top, off, bottom, c0, c1, keys=None, lead=None):
+def _quadratics(label, top, off, bottom, c0, c1, keys=None):
     """Blocks [[top, off], [off, bottom]] against factors x^2 + c1 x + c0;
     the arguments are scalars or length-k arrays."""
     k = np.broadcast(top, off, bottom, c0, c1).size
@@ -250,7 +251,7 @@ def _quadratics(label, top, off, bottom, c0, c1, keys=None, lead=None):
     coeffs = np.ones((k, 3))
     coeffs[:, 0] = c0
     coeffs[:, 1] = c1
-    return FactorFamily(label, blocks, coeffs, keys, lead)
+    return FactorFamily(label, blocks, coeffs, keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,10 +288,11 @@ class FactoredCharPoly:
         return val
 
     def roots(self):
-        """All roots with multiplicity, descending, from the symmetric blocks."""
+        """All roots with multiplicity as an array, descending, from the
+        symmetric blocks."""
         parts = [np.full(self.linear_mult, float(self.linear_root))]
         parts += [fam.roots().ravel() for fam in self.families]
-        return np.sort(np.concatenate(parts))[::-1].tolist()
+        return np.sort(np.concatenate(parts))[::-1]
 
     def factor_roots(self):
         """(label, roots descending) for each entry of factors, from the same
@@ -326,7 +328,7 @@ def _float_alpha(alpha):
 
 
 # ---------------------------------------------------------------------------
-# central graph of a regular graph
+# the join route, shared by central graphs and central vertex joins
 
 def _require_regular_base(G, what):
     """Degree r of the base graph, which must be regular with r >= 2.
@@ -361,33 +363,50 @@ def _sqrt_shift(l, r):
     return np.sqrt(np.maximum(l + r, 0.0))
 
 
-def _f_principal_central(n, r, a):
-    return (2 * a * n - 2 * a + 2 * a * r - 2 * r, -(2 * a + n - 1 - r * (1 - a)), 1.0)
+def _join_quadratics(l, n1, n2, r1, a):
+    b = (1 - a) * l + (1 - a * (n1 + n2))  # (x - 2a)(x + b) - (1-a)^2 (l + r1)
+    return _quadratics("base-eigenvalue", -b, (1 - a) * _sqrt_shift(l, r1), 2 * a,
+                       -2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, keys=l)
+
+
+def _charpoly_join(G1, r1, a, mu, v, c, label):
+    """The factorization of the module docstring for G1 joined with a second
+    graph given only by its split: mu the n2 - k eigenvalues of A_alpha(G2)
+    orthogonal to the cell-constant vectors, descending, and (v, c) the k
+    cell-constant eigenpairs. label names the arrowhead's factor."""
+    n1, m1 = G1.n, G1.m
+    n2 = len(mu) + len(v)
+    diagonal = np.concatenate(([a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1), 2 * a],
+                               a * n1 + v))
+    weights = np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))
+    block = np.diag(diagonal)
+    block[0, 1:] = block[1:, 0] = np.sqrt(weights)
+    arrowhead = CoronalFactor(block, n1 + a * n2 - (1 - a) * r1 - 1, diagonal[1:],
+                              weights, label)
+    families = (_linears("g2-eigenvalue", a * n1 + mu, keys=mu),
+                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a), arrowhead)
+    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
+
+
+# ---------------------------------------------------------------------------
+# central graph of a regular graph
+
+_EMPTY = np.empty(0)
 
 
 def charpoly_central_regular(G, alpha):
     """Factored characteristic polynomial of A_alpha(central_graph(G)).
 
-    G must be r-regular with r >= 2. The adjacency eigenvalues of G come
-    from the dense eigensolver; the factor list keeps their clustered
-    multiplicities. Row 0 of the block stack belongs to the Perron root r
-    and gives the principal factor: the original vertices of the central
-    graph induce the complement J - I - A(G), which maps the all-ones vector
-    to n - 1 - r times itself but an eigenvector for l orthogonal to it to
-    -1 - l times itself, so row 0 gains (1-a) n on its top-left entry.
+    G must be r-regular with r >= 2. C(G) is the join of G with an empty
+    second graph, so this is the join's factorization with an empty split
+    (see the module docstring): the adjacency eigenvalues of G, from the
+    dense eigensolver, give the base-eigenvalue factors with their clustered
+    multiplicities, and the 2x2 arrowhead over the original and subdivision
+    vertices gives the principal factor.
     """
     a = _float_alpha(alpha)
     r = _require_regular_base(G, "central-graph closed form")
-    n, m = G.n, G.m
-    l = _adjacency_spectrum(G)
-    top = (a * (n - 1) - (1 - a)) - (1 - a) * l
-    top[0] += (1 - a) * n
-    c0 = -(1 - a * a) * l + ((2 * n - r) * a * a - 2 * a * (1 - r) - r)
-    c1 = (1 - a) * l + (1 - 2 * a - n * a)
-    c0[0], c1[0], _ = _f_principal_central(n, r, a)
-    fam = _quadratics("base-eigenvalue", top, (1 - a) * _sqrt_shift(l, r), 2 * a,
-                      c0, c1, keys=l[1:], lead="principal")
-    return FactoredCharPoly(2 * a, m - n, (fam,), n + m)
+    return _charpoly_join(G, r, a, _EMPTY, _EMPTY, _EMPTY, "principal")
 
 
 def spectrum_central_regular(G, alpha):
@@ -398,12 +417,6 @@ def spectrum_central_regular(G, alpha):
 
 # ---------------------------------------------------------------------------
 # central vertex join
-
-def _join_quadratics(l, n1, n2, r1, a):
-    b = (1 - a) * l + (1 - a * (n1 + n2))  # (x - 2a)(x + b) - (1-a)^2 (l + r1)
-    return _quadratics("base-eigenvalue", -b, (1 - a) * _sqrt_shift(l, r1), 2 * a,
-                       -2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, keys=l)
-
 
 def charpoly_cvjoin(G1, g2, alpha):
     """Factored characteristic polynomial of A_alpha(central_vertex_join(G1, G2)).
@@ -419,7 +432,6 @@ def charpoly_cvjoin(G1, g2, alpha):
     """
     a = _float_alpha(alpha)
     r1 = _require_regular_base(G1, "vertex-join closed form")
-    n1, m1 = G1.n, G1.m
     if isinstance(g2, tuple):
         p, q = g2
         if p < 1 or q < 1:
@@ -440,18 +452,8 @@ def charpoly_cvjoin(G1, g2, alpha):
     same = colour[:, None] == colour
     M += sigma * (same / same.sum(axis=1))
     w, V = _eigh_checked(M)
-    mu = w[:n2 - k][::-1]
-    c = V[:, n2 - k:].sum(axis=0) ** 2
-
-    diagonal = np.concatenate(([a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1), 2 * a],
-                               w[n2 - k:] + (a * n1 - sigma)))
-    weights = np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))
-    block = np.diag(diagonal)
-    block[0, 1:] = block[1:, 0] = np.sqrt(weights)
-    coronal = CoronalFactor(block, n1 + a * n2 - (1 - a) * r1 - 1, diagonal[1:], weights)
-    families = (_linears("g2-eigenvalue", a * n1 + mu, keys=mu),
-                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a), coronal)
-    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
+    return _charpoly_join(G1, r1, a, w[:n2 - k][::-1], w[n2 - k:] - sigma,
+                          V[:, n2 - k:].sum(axis=0) ** 2, "coronal")
 
 
 def spectrum_cvjoin_regular(G1, G2, alpha):

@@ -11,9 +11,20 @@ matrices is directly assertable:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from .graphs import Graph
+
+
+def _central_edges(G):
+    """The edges of central_graph(G), each generated once as (i, j), i < j."""
+    n = G.n
+    for k, (i, j) in enumerate(G.sorted_edges()):
+        yield i, n + k
+        yield j, n + k
+    for e in combinations(range(n), 2):
+        if e not in G.edges:
+            yield e
 
 
 def central_graph(G):
@@ -25,16 +36,8 @@ def central_graph(G):
     survives. Every subdivision vertex has degree 2 and original vertex i
     has degree n - 1. Graphs with n <= 1 or isolated vertices are allowed.
     """
-    n = G.n
-    edges = []
-    for k, (i, j) in enumerate(G.sorted_edges()):
-        edges.append((i, n + k))
-        edges.append((j, n + k))
-    for i, j in combinations(range(n), 2):
-        if (i, j) not in G.edges:
-            edges.append((i, j))
     lab = f"C({G.label})" if G.label else ""
-    return Graph.from_edges(n + G.m, edges, lab)
+    return Graph(G.n + G.m, frozenset(_central_edges(G)), lab)
 
 
 def central_vertex_join(G1, G2):
@@ -45,15 +48,10 @@ def central_vertex_join(G1, G2):
     vertices; each G2 vertex gains degree n1. The result has n1 + m1 + n2
     vertices and m1 + n1(n1-1)/2 + m2 + n1*n2 edges.
     """
-    base = central_graph(G1)
-    off = base.n
-    edges = list(base.edges)
-    for i, j in G2.edges:
-        edges.append((off + i, off + j))
-    for i in range(G1.n):
-        for v in range(G2.n):
-            edges.append((i, off + v))
+    off = G1.n + G1.m
+    edges = chain(_central_edges(G1), ((off + i, off + j) for i, j in G2.edges),
+                  product(range(G1.n), range(off, off + G2.n)))
     lab = ""
     if G1.label and G2.label:
         lab = f"{G1.label} vjoin {G2.label}"
-    return Graph.from_edges(off + G2.n, edges, lab)
+    return Graph(off + G2.n, frozenset(edges), lab)

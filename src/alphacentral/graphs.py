@@ -296,35 +296,6 @@ def equitable_partition(G):
     return cells
 
 
-def as_complete_bipartite(G):
-    """Return (p, q) if G is a complete bipartite graph K_{p,q}, else None."""
-    if G.m == 0:
-        return None
-    color = [None] * G.n
-    adj = [set() for _ in range(G.n)]
-    for i, j in G.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    for start in range(G.n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] is None:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    p = color.count(0)
-    q = G.n - p
-    if G.m != p * q:
-        return None
-    return (p, q)
-
-
 # ---------------------------------------------------------------------------
 # cheap isomorphism-distinguishing invariants
 #

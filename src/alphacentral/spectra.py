@@ -52,7 +52,7 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values, cluster_tol=CLUSTER_TOL):
-        vals = sorted((float(v) for v in values), reverse=True)
+        vals = np.sort(np.asarray(values, dtype=float).ravel())[::-1].tolist()
         groups = []
         for v in vals:
             if groups and groups[-1][0] - v < cluster_tol:

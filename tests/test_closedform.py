@@ -1,13 +1,15 @@
 import dataclasses
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from alphacentral import (Graph, InternalCheckError, PreconditionError,
-                          a_alpha_matrix, central_graph, central_vertex_join,
-                          char_poly, charpoly_central_regular, charpoly_cvjoin,
+                          a_alpha_matrix, adjacency_matrix, central_graph,
+                          central_vertex_join, char_poly,
+                          charpoly_central_regular, charpoly_cvjoin,
                           eigenvalues_sym, equitable_partition, generate,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
@@ -60,11 +62,13 @@ def test_block_roots_cubic_batch():
 
 
 def test_block_roots_alpha_one_double_root():
-    # at alpha = 1 every block of C(K3), the principal one included, is
-    # diag(2, 2): the double root 2 comes back exactly, not as a complex pair
+    # at alpha = 1 every block of C(K3), the principal arrowhead included, is
+    # diag(2, 2): each double root 2 comes back exactly, not as a complex pair
     fac = charpoly_central_regular(generate("complete", [3]), 1.0)
-    (family,) = fac.families
-    assert family.roots().tolist() == [[2.0, 2.0]] * 3
+    rooted = [fam.roots() for fam in fac.families]
+    assert sum(z.size for z in rooted) == fac.order == 6
+    for z in rooted:
+        assert (z == 2.0).all()
 
 
 def test_block_disagreeing_with_factor_raises():
@@ -94,6 +98,36 @@ def test_central_k3_alpha0_factors():
     eig = [f for f in fac.factors if f.label.startswith("base-eigenvalue")]
     assert len(eig) == 1 and eig[0].mult == 2
     assert np.allclose(eig[0].poly.coeffs, [-1, 0, 1], atol=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.9999, 1.0])
+@pytest.mark.parametrize("name", ["petersen", "K5", "2K3"])
+def test_central_json_matches_paper_polynomials(name, a):
+    # the paper's factorization of A_alpha(C(G)), r-regular G on n vertices,
+    # written out here and nowhere else: (x - 2a)^(m-n), the principal factor
+    # x^2 - (2a + n - 1 - r(1-a)) x + (2an - 2a + 2ar - 2r), and per
+    # adjacency eigenvalue l of G past one copy of r the quadratic
+    # x^2 + ((1-a) l - 2a - na + 1) x - (1-a^2) l + (2n-r) a^2 - 2a(1-r) - r
+    two_k3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    G = {"petersen": generate("petersen"), "K5": generate("complete", [5]),
+         "2K3": two_k3}[name]
+    n, m, r = G.n, G.m, G.degree_sequence[0]
+    want = {"principal": ([2 * a * n - 2 * a + 2 * a * r - 2 * r,
+                           -(2 * a + n - 1 - r * (1 - a)), 1.0], 1)}
+    # these graphs have integer adjacency eigenvalues
+    ls = np.rint(np.linalg.eigvalsh(adjacency_matrix(G))[:-1])
+    for l, mult in zip(*np.unique(ls, return_counts=True)):
+        want[f"base-eigenvalue {l:.10g}"] = (
+            [-(1 - a * a) * l + (2 * n - r) * a * a - 2 * a * (1 - r) - r,
+             (1 - a) * l - 2 * a - n * a + 1, 1.0], mult)
+    j = charpoly_central_regular(G, a).to_json()
+    assert j["linear"] == {"root": 2 * a, "mult": m - n}
+    got = {f["label"]: (f["coeffs"], f["mult"]) for f in j["factors"]}
+    assert got.keys() == want.keys()
+    for label, (coeffs, mult) in want.items():
+        assert got[label][1] == mult
+        scale = max(abs(c) for c in coeffs)
+        assert np.allclose(got[label][0], coeffs, rtol=0, atol=1e-12 * scale), label
 
 
 def test_central_k3_alpha1_all_two():
@@ -353,6 +387,31 @@ def test_near_one_matches_oracle(g1, second, a):
     assert _max_dev(closed, _oracle(built, a)) <= 1e-8
 
 
+@pytest.mark.parametrize("n1,second,a", [
+    (3, None, 1 - 1e-10),
+    (4, 1, 1 - 2e-10),
+    (4, (1, 2), 1 - 3e-10),
+    (3, (1, 1), 1 - 1e-10),
+])
+def test_arrowhead_root_check_with_an_end_on_a_pole(n1, second, a):
+    # z + h or z - h rounds exactly onto a pole of the secular function: the
+    # principal roots of C(K3) are 2a +- 2(1-a) with h = 2e-10, one pole
+    # 2(1-a) away; the pole met in K3 v K_{1,1} has weight 0. The check
+    # accepts the roots without dividing by zero
+    g1 = generate("complete", [n1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if second is None:
+            closed, built = spectrum_central_regular(g1, a), central_graph(g1)
+        elif isinstance(second, tuple):
+            closed = spectrum_cvjoin_kpq(g1, *second, a)
+            built = central_vertex_join(g1, generate("complete_bipartite", list(second)))
+        else:
+            g2 = generate("complete", [second])
+            closed, built = spectrum_cvjoin_regular(g1, g2, a), central_vertex_join(g1, g2)
+    assert _max_dev(closed, _oracle(built, a)) <= TOL_MATCH
+
+
 def test_close_g2_eigenvalues_keep_their_roots():
     # A_alpha(C5) at alpha = 1 - 1e-8 has eigenvalues 2.2e-8 apart, inside
     # CLUSTER_TOL: they share a factor label but keep their own roots
@@ -405,13 +464,15 @@ def test_cvjoin_kpq_3_3_alpha_one_repeated_cell_eigenvalue():
 def test_coronal_block_disagreeing_with_factor_raises():
     fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.3)
     coronal = _coronal(fac)
-    shifted = coronal.block.copy()
+    # a raised corner moves roots above the factor's, a lowered one below
+    shifted, lowered = coronal.block.copy(), coronal.block.copy()
     shifted[0, 0] += 1e-6
+    lowered[0, 0] -= 1e-6
     # a cell decoupled from V1 puts a root on a pole of nonzero weight,
     # where the factor has none
     decoupled = coronal.block.copy()
     decoupled[0, 2] = decoupled[2, 0] = 0.0
-    for block in (shifted, decoupled):
+    for block in (shifted, lowered, decoupled):
         with pytest.raises(InternalCheckError, match="coronal root"):
             dataclasses.replace(coronal, block=block).roots()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alphacentral import (Graph, ParameterError, ParseError, adjacency_matrix,
-                          as_complete_bipartite, complement, degree_matrix,
+                          complement, degree_matrix,
                           equitable_partition, format_edge_list, generate,
                           incidence_matrix,
                           is_connected, nonisomorphism_witness,
@@ -167,13 +167,6 @@ def test_regularity():
     assert regularity(generate("petersen")) == 3
     assert regularity(generate("complete_bipartite", [2, 3])) is None
     assert regularity(generate("complete", [1])) == 0
-
-
-def test_as_complete_bipartite():
-    assert sorted(as_complete_bipartite(generate("complete_bipartite", [2, 3]))) == [2, 3]
-    assert as_complete_bipartite(generate("complete", [2])) == (1, 1)
-    assert as_complete_bipartite(generate("complete", [3])) is None
-    assert as_complete_bipartite(generate("path", [4])) is None
 
 
 # --- the strongly regular pair
