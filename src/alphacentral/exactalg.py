@@ -4,8 +4,13 @@ Two independent routes are kept deliberately separate:
 
 - charpoly_exact: Hessenberg reduction and the Hessenberg recurrence, O(n^3)
   per prime, run on a (K, n, n) int64 stack of K word-size primes at once
-  and reconstructed by CRT. The prime budget comes from a Hadamard-style
-  bound on the coefficients, so the result is exact, not heuristic.
+  and reconstructed by CRT. The prime budget is Hadamard's bound on the
+  principal minors: with row 2-norms |r_i|, every coefficient is at most
+  B = prod_i (1 + ceil(|r_i|)) in absolute value (see charpoly_int), B is
+  computed in integer arithmetic, and the engine takes the fewest primes
+  whose product exceeds 2B, so the result is exact, not heuristic. This is
+  the standard multimodular coefficient bound (Dumas, Pernet and Wan,
+  "Efficient computation of the characteristic polynomial", ISSAC 2005).
 - det_exact: plain fraction-preserving Gaussian elimination. Slower, used
   as the cross-check oracle for the charpoly route.
 """
@@ -14,9 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import InternalCheckError, ParameterError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -106,29 +114,86 @@ def _hessenberg_charpoly_mod(H, p):
 
 def charpoly_int(M):
     """Exact characteristic polynomial of a square integer matrix (sequence of
-    sequences of int), as its n+1 monic coefficients in ascending degree order."""
-    n = len(M)
+    sequences of ints, bools or numpy integers, or a numpy integer or bool
+    array), as its n+1 monic coefficients in ascending degree order. Any
+    other entry, a float or a Fraction included, raises ParameterError
+    instead of being truncated.
+
+    The coefficient of x^k is (-1)^(n-k) times the sum of the principal
+    minors of order n-k. By Hadamard's inequality a minor on the rows S is at
+    most the product of those rows' 2-norms, and a row of a submatrix is no
+    longer than the full row, so |c_k| <= e_{n-k}(|r_1|, ..., |r_n|), the
+    elementary symmetric polynomial of the row norms. Every coefficient is
+    therefore at most B = prod_i (1 + ceil(|r_i|)), computed in integers, and
+    residues modulo primes whose product exceeds 2B fix it exactly.
+    """
+    if isinstance(M, np.ndarray) and M.dtype.kind in "biu":
+        M = M.tolist()  # numpy bools have no __index__
+    try:
+        rows = [[operator.index(x) for x in row] for row in M]
+    except TypeError as exc:
+        raise ParameterError(f"charpoly_int needs integer entries: {exc}") from None
+    return _charpoly_rows(rows)
+
+
+def _charpoly_rows(rows):
+    """charpoly_int on a list of lists of Python ints."""
+    n = len(rows)
     if n == 0:
         return [1]
-    rows = [[int(x) for x in row] for row in M]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    bigb = max((abs(x) for r in rows for x in r), default=0)
-
-    # coefficient c_k is a sum of C(n,k) k x k minors, each Hadamard-bounded
-    # by (sqrt(k) * B)^k
-    bits = n + n * (0.5 * math.log2(max(n, 2)) + math.log2(max(bigb, 2))) + 16
-    # primes must satisfy n * (p-1)^2 < 2^63 for the int64 sums
-    pmax = min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30)
-    primes, garner, prod = _prime_table(pmax, int(bits // math.log2(pmax)) + 2)
+    bound, A = _row_norm_bound(rows)
+    primes, garner, prod = _primes_above(n, bound)
+    if prod <= 2 * bound:
+        raise InternalCheckError(
+            f"prime product of {prod.bit_length()} bits does not exceed twice the "
+            f"{bound.bit_length()}-bit coefficient bound")
     p = np.array(primes, dtype=np.int64)
-    if bigb < 2 ** 62:
-        H = np.array(rows, dtype=np.int64)[None] % p[:, None, None]
+    if A is not None:
+        H = A[None] % p[:, None, None]
     else:
         H = np.array([[[x % q for x in r] for r in rows] for q in primes], dtype=np.int64)
     _hessenberg_mod(H, p)
     coeffs_mod = _hessenberg_charpoly_mod(H, p).T.tolist()
     return [_crt_symmetric(c, garner, prod) for c in coeffs_mod]
+
+
+def _row_norm_bound(rows):
+    """(B, A): B = prod_i (1 + ceil(||r_i||_2)) bounds every charpoly
+    coefficient of the square integer matrix `rows`; A is the matrix as int64,
+    or None when an entry does not fit. The squared norms are summed in int64
+    only when n * max|a_ij|^2 < 2^63 keeps every sum exact."""
+    try:
+        A = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        A = None
+    if A is not None and len(rows) * max(int(A.max()), -int(A.min())) ** 2 < 2 ** 63:
+        sq = (A * A).sum(axis=1).tolist()
+    else:
+        sq = [sum(x * x for x in r) for r in rows]
+    bound = 1
+    for s in sq:
+        r = math.isqrt(s)
+        bound *= 2 + r if r * r < s else 1 + r
+    return bound, A
+
+
+def _primes_above(n, bound):
+    """The fewest of the engine's primes for order n whose product exceeds
+    2 * bound, as (primes, Garner constants, product)."""
+    # n * (p-1)^2 < 2^63 keeps the engine's int64 sums exact
+    pmax = min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30)
+    # the table's primes lie above pmax / 2 > 2^(b - 2), so `count` of them
+    # multiply to more than 2^(bound.bit_length() + 1) > 2 * bound
+    b = (pmax - 1).bit_length()
+    count = -(-(bound.bit_length() + 1) // (b - 2))
+    primes, garner, _ = _prime_table(pmax, count)
+    k, prod = 1, primes[0]
+    while prod <= 2 * bound and k < count:
+        prod *= primes[k]
+        k += 1
+    return primes[:k], garner[:k], prod
 
 
 def charpoly_exact(M):
@@ -139,7 +204,8 @@ def charpoly_exact(M):
     rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in M]
     c = math.lcm(*{x.denominator for row in rows for x in row})
-    ints = charpoly_int([[x.numerator * (c // x.denominator) for x in row] for row in rows])
+    ints = _charpoly_rows([[x.numerator * (c // x.denominator) for x in row]
+                           for row in rows])
     return [Fraction(ck, c ** (len(rows) - k)) for k, ck in enumerate(ints)]
 
 

@@ -11,8 +11,9 @@ Numerical contracts (absolute unless noted):
 
 - TOL_EIG:      relative eigensolver residual, ||M V - V L|| <= TOL_EIG*n*||M||
 - TOL_NUM:      value comparisons against closed forms
-- CLUSTER_TOL:  adjacent-gap threshold when grouping eigenvalues into
-                (value, multiplicity) pairs
+- CLUSTER_TOL:  width of a (value, multiplicity) group: a value joins the
+                current group while it lies within CLUSTER_TOL of the
+                group's first (largest) value
 - TOL_HOFFMAN:  max-norm of P(A) - J for the Hoffman polynomial
 - TOL_SING:     minimum allowed distance from a resolvent evaluation point
                 to the spectrum
@@ -20,6 +21,7 @@ Numerical contracts (absolute unless noted):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +54,11 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values, cluster_tol=CLUSTER_TOL):
+        """Sort descending and group. A value joins the current group when it
+        lies less than cluster_tol below the group's first (largest) value,
+        not below its neighbour, so every group spans less than cluster_tol
+        and a chain of closely spaced values may split into several groups.
+        A group is reported as (first value, count)."""
         vals = np.sort(np.asarray(values, dtype=float).ravel())[::-1].tolist()
         groups = []
         for v in vals:
@@ -160,13 +167,13 @@ def a_alpha_matrix(G, alpha):
     _check_alpha(alpha, allow_one=True)
     deg = G.degree_sequence
     if isinstance(alpha, Fraction):
-        M = np.empty((G.n, G.n), dtype=object)
-        M[:] = Fraction(0)
-        one = Fraction(1)
-        for i in range(G.n):
-            M[i, i] = alpha * deg[i]
-        for i, j in G.edges:
-            M[i, j] = M[j, i] = one - alpha
+        # one Fraction per distinct value, shared by every entry that holds it
+        M = np.full((G.n, G.n), Fraction(0), dtype=object)
+        if G.edges:
+            i, j = np.array(list(G.edges)).T
+            M[i, j] = M[j, i] = 1 - alpha
+        diag = {d: alpha * d for d in set(deg)}
+        M[np.arange(G.n), np.arange(G.n)] = [diag[d] for d in deg]
         return M
     A = adjacency_matrix(G)
     return alpha * np.diag(np.asarray(deg, dtype=float)) + (1.0 - alpha) * A
@@ -212,11 +219,14 @@ def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
 def _eigh_checked(M):
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric
     matrix, with the TOL_EIG residual contract checked."""
-    Mf = _as_float_matrix(_require_symmetric(M))
+    Mf = _require_symmetric(M)
+    if Mf.dtype != np.float64:
+        Mf = _as_float_matrix(Mf)
     n = Mf.shape[0]
     w, V = np.linalg.eigh(Mf)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    resid = np.linalg.norm(Mf @ V - V * w)
+    R = Mf @ V - V * w
+    resid = math.sqrt(np.vdot(R, R))
     if resid > TOL_EIG * n * scale:
         raise InternalCheckError(
             f"eigensolver residual {resid:.3e} exceeds {TOL_EIG:.0e} * n * ||M||")

@@ -3,10 +3,16 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphacentral import Polynomial, generate
-from alphacentral.exactalg import (_is_prime, _prime_table, charpoly_exact,
-                                   charpoly_int, det_exact)
+from alphacentral import (InternalCheckError, ParameterError, Polynomial,
+                          a_alpha_matrix, central_vertex_join, char_poly, exactalg,
+                          generate)
+from alphacentral.exactalg import (_is_prime, _prime_table, _primes_above,
+                                   _row_norm_bound, charpoly_exact, charpoly_int,
+                                   det_exact)
 
 
 def _assert_charpoly_matches_det(m, coeffs, xs):
@@ -145,3 +151,98 @@ def test_strongly_regular_16_6_2_2_adjacency_charpoly_closed_form():
         for i, j in g.edges:
             m[i][j] = m[j][i] = 1
         assert charpoly_int(m) == list(expected.coeffs)
+
+
+def test_charpoly_int_rejects_non_integral_entries():
+    # int() would truncate 0.5 to 0 and 1.9 to 1, and Fraction(1, 2) to 0
+    for bad in ([[0.5, 0], [0, 1.9]], [[Fraction(1, 2), 0], [0, 1]],
+                [[2.0, 0], [0, 1]], np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(ParameterError, match="integer entries"):
+            charpoly_int(bad)
+
+
+def test_charpoly_int_takes_numpy_integers_and_bools():
+    a = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    # K3: (x - 2)(x + 1)^2
+    assert charpoly_int(a) == charpoly_int(a.astype(bool)) == charpoly_int(a.tolist()) \
+        == [-2, -3, 0, 1]
+
+
+def _chosen_primes(m):
+    primes, _, prod = _primes_above(len(m), _row_norm_bound(m)[0])
+    assert prod == math.prod(primes)
+    return primes, prod
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 80), 2 ** 80),
+                     st.sampled_from([2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63), 2 ** 64]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_prime_budget_covers_every_coefficient(m):
+    coeffs = charpoly_int(m)
+    primes, prod = _chosen_primes(m)
+    assert _row_norm_bound(m)[0] >= sum(abs(c) for c in coeffs)
+    assert prod > 2 * max(abs(c) for c in coeffs)
+    # the fewest primes: dropping the last one no longer covers the bound
+    assert math.prod(primes[:-1]) <= 2 * _row_norm_bound(m)[0]
+    _assert_charpoly_matches_det(m, coeffs, range(len(m) + 1))
+
+
+def test_row_norm_bound_is_tight_on_one_signed_diagonals():
+    # with every d_i of one sign, |c_k| = e_{n-k}(|d|) and their sum is
+    # prod (1 + |d_i|), which is the bound itself
+    for d in ([3, 0, 7, 1, 2 ** 40], [-1, -5, -(2 ** 70), 0]):
+        m = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+        coeffs = charpoly_int(m)
+        assert _row_norm_bound(m)[0] == sum(abs(c) for c in coeffs)
+        assert _chosen_primes(m)[1] > 2 * max(abs(c) for c in coeffs)
+
+
+def test_row_norm_bound_rounds_norms_up():
+    # x^2 - 2x + 2: the coefficients sum to 5 in absolute value, while the
+    # row norms are sqrt(2); rounding them down would give (1 + 1)^2 = 4
+    m = [[1, 1], [-1, 1]]
+    assert charpoly_int(m) == [2, -2, 1]
+    assert _row_norm_bound(m)[0] == (1 + 2) ** 2
+
+
+def test_row_norm_bound_is_tight_on_a_scaled_hadamard_matrix():
+    # Sylvester's H_8 has orthogonal rows of norm sqrt(8): |det| meets
+    # Hadamard's inequality, here (2^40 * sqrt(8))^8 = 2^332
+    h = [[1]]
+    for _ in range(3):
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    m = [[2 ** 40 * x for x in r] for r in h]
+    coeffs = charpoly_int(m)
+    assert abs(coeffs[0]) == 2 ** 332
+    bound = _row_norm_bound(m)[0]
+    assert sum(abs(c) for c in coeffs) <= bound < 2 * abs(coeffs[0])
+    assert _chosen_primes(m)[1] > 2 * max(abs(c) for c in coeffs)
+    _assert_charpoly_matches_det(m, coeffs, range(9))
+
+
+def test_order_67_join_needs_at_most_ten_primes(monkeypatch):
+    # the largest coefficient has 197 bits and the row-norm bound 236: 9 primes
+    used = []
+    hessenberg = exactalg._hessenberg_mod
+
+    def spy(H, p):
+        used.append(len(p))
+        return hessenberg(H, p)
+
+    monkeypatch.setattr(exactalg, "_hessenberg_mod", spy)
+    g = central_vertex_join(generate("shrikhande"), generate("path", [3]))
+    poly = char_poly(a_alpha_matrix(g, Fraction(2, 5)))
+    assert g.n == 67 and len(poly.coeffs) == 68
+    assert len(used) == 1 and used[0] <= 10
+
+
+def test_prime_set_below_twice_the_bound_is_refused(monkeypatch):
+    primes, garner, _ = _prime_table(2 ** 30, 1)
+    monkeypatch.setattr(exactalg, "_primes_above",
+                        lambda n, bound: (primes, garner, primes[0]))
+    with pytest.raises(InternalCheckError, match="coefficient bound"):
+        charpoly_int([[2 ** 40, 0], [0, 2 ** 40]])

@@ -42,6 +42,24 @@ def test_exact_mode_matrix():
     assert m[0, 0] == Fraction(1, 3) and m[0, 1] == Fraction(2, 3)
 
 
+def test_exact_mode_matrix_matches_entrywise_definition():
+    # reference: every entry set one at a time from alpha*d_i and 1 - alpha
+    graphs = [generate("petersen"), generate("path", [4]), Graph.from_edges(3, []),
+              Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
+    for g in graphs:
+        deg = g.degree_sequence
+        for a in (Fraction(0), Fraction(2, 5), Fraction(1)):
+            ref = [[Fraction(0)] * g.n for _ in range(g.n)]
+            for i in range(g.n):
+                ref[i][i] = a * deg[i]
+            for i, j in g.edges:
+                ref[i][j] = ref[j][i] = 1 - a
+            m = a_alpha_matrix(g, a)
+            assert m.dtype == object and m.shape == (g.n, g.n)
+            assert all(type(x) is Fraction for x in m.ravel())
+            assert m.tolist() == ref
+
+
 def test_row_sums_and_trace():
     for fam, params in [("petersen", []), ("complete_bipartite", [2, 3]),
                         ("path", [5])]:
@@ -91,6 +109,21 @@ def test_k2_family_spectrum(a):
 def test_nonsymmetric_rejected():
     with pytest.raises(ParameterError):
         eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_spectrum_groups_by_distance_from_the_groups_first_value():
+    # both adjacent gaps are 0.6e-7 < CLUSTER_TOL, but 0.0 lies 1.2e-7 below
+    # the group's first value, so it starts a group of its own
+    assert Spectrum.from_values([1.2e-7, 0.6e-7, 0.0]).groups == ((1.2e-07, 2), (0.0, 1))
+
+
+def test_eigensolver_takes_integer_and_exact_input():
+    ints = np.array([[2, 1], [1, 2]])
+    exact = np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]], dtype=object)
+    for m in (ints, exact):
+        assert eigenvalues_sym(m).values == pytest.approx((3.0, 1.0), abs=1e-14)
+    with pytest.raises(ParameterError):
+        eigenvalues_sym(np.array([[Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(0)]]))
 
 
 def test_spectrum_json_shape():
