@@ -25,13 +25,20 @@ the one above, and the last bracket is the paper's principal factor
 x^2 - (2a + n - 1 - r(1-a)) x + (2an - 2a + 2ar - 2r). Both go through one
 route, which takes G2 only as the split described below.
 
-Every non-linear factor is rooted as the eigenvalues of a small symmetric
-block, so its roots are real by construction and two close but distinct
-roots are never merged. The base-eigenvalue quadratics are the 2x2 blocks
+Every factor is the secular equation of a small symmetric arrowhead, the
+bordered diagonal matrix [[corner, sqrt(w)^T], [sqrt(w), diag(p)]] whose
+characteristic polynomial is F(x) prod(x - p) with
 
-    [[a(n1+n2) - (1-a) l_j - 1,    (1-a) sqrt(l_j + r1)], [., 2a]]
+    F(x) = x - t - sum of w_i / (x - p_i)
 
-built for every l at once and rooted by one batched eigvalsh.
+(Golub, "Some modified matrix eigenvalue problems", SIAM Review 15, 1973),
+so its roots are the eigenvalues of the block: real by construction, and
+two close but distinct roots are never merged. Each base-eigenvalue
+quadratic is the 2x2 arrowhead with t = a(n1+n2) - (1-a) l_j - 1, pole 2a
+and weight (1-a)^2 (l_j + r1), built for every l at once; each
+"g2-eigenvalue" factor is a 1x1 one. Factors of one kind form an
+ArrowheadStack, rooted by one batched eigvalsh and checked by one secular
+sign test.
 
 The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
 K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
@@ -49,13 +56,14 @@ it cancels is the characteristic polynomial of the arrowhead
 
 the symmetrized quotient of A_alpha over V1, S and the cells of G2 (Godsil
 and Royle, Algebraic Graph Theory, section 9.3): 2x2 for the central graph
-(k = 0), 3x3 for regular G2, 4x4 for K_{p,q}. Its roots are checked against
-the bracket in secular form.
+(k = 0), 3x3 for regular G2, 4x4 for K_{p,q}. Its corner keeps the quotient
+expression while t = n1 + a n2 - (1-a) r1 - 1 keeps the bracket's, so the
+check compares the quotient block with the bracket.
 
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
 Perron copy dropped; CLUSTER_TOL grouping only names and counts the factors
 (factors, to_json) and never moves a root. Every root is checked against its
-factor as written above, to TOL_ROOT.
+factor in secular form, to TOL_ROOT.
 """
 
 from __future__ import annotations
@@ -65,9 +73,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError, PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .graphs import adjacency_matrix, equitable_partition, generate
-from .spectra import Polynomial, Spectrum, _eigh_checked, a_alpha_matrix
+from .spectra import Spectrum, _check_alpha, _eigh_checked, a_alpha_matrix
 
 TOL_MATCH = 1e-8
 TOL_ROOT = 1e-10
@@ -75,7 +83,8 @@ TOL_ROOT = 1e-10
 
 @dataclass(frozen=True)
 class Factor:
-    """One factor of a FactoredCharPoly: a Polynomial, or the CoronalFactor."""
+    """One factor of a FactoredCharPoly; poly is a one-row ArrowheadStack,
+    with coeffs, degree and a point value."""
 
     poly: object
     mult: int
@@ -86,23 +95,29 @@ class Factor:
         return self.poly.degree
 
 
-@dataclass(frozen=True, eq=False)
-class FactorFamily:
-    """k factors of degree d, rooted as the eigenvalues of k symmetric
-    d x d blocks.
+_ENDS = np.array([1.0, -1.0])[:, None, None]  # rows z - h and -(z + h) of ArrowheadStack.roots
 
-    coeffs[i] (ascending, monic) is factor i as the factorization writes
-    it, and every eigenvalue of blocks[i] must be a root of it to TOL_ROOT:
-    |factor(z)| <= TOL_ROOT * max|coeffs[i]| * max(1, |z|)^d. keys,
-    when given, is the eigenvalue each factor comes from, descending:
-    factors whose keys lie within CLUSTER_TOL are listed as one factor with
-    multiplicity, labelled "label key". Without keys the k factors are
+
+@dataclass(frozen=True, eq=False)
+class ArrowheadStack:
+    """K factors of degree d, factor i the characteristic polynomial of the
+    symmetric d x d arrowhead blocks[i].
+
+    Row i has the secular function F(x) = x - t[i] - sum(weights[i] / (x -
+    poles[i])) and the factor F(x) prod(x - poles[i]); blocks[i] holds the
+    poles on its diagonal past the corner and sqrt(weights[i]) on its
+    border. F increases between consecutive poles (weights >= 0). keys,
+    when given, is the eigenvalue each row comes from, descending: rows
+    whose keys lie within CLUSTER_TOL are listed as one factor with
+    multiplicity, labelled "label key". Without keys the K factors are
     equal.
     """
 
     label: str
     blocks: np.ndarray
-    coeffs: np.ndarray
+    t: np.ndarray
+    poles: np.ndarray
+    weights: np.ndarray
     keys: np.ndarray = None
 
     @property
@@ -113,29 +128,40 @@ class FactorFamily:
     def count(self):
         return self.blocks.shape[0]
 
-    def factor(self, row):
-        return Polynomial.of(self.coeffs[row].tolist())
-
     def roots(self):
-        """(k, d) array; row i holds the roots of factor i, ascending, each
-        checked against coeffs[i]."""
+        """(K, d) array; row i holds the eigenvalues of blocks[i], ascending,
+        each within h = TOL_ROOT * max(1, |z|max of the row) of a root of
+        factor i. A degree-1 row is its own root and is returned unchecked.
+
+        F increases on each pole-free piece of [lo, hi] = [z - h, z + h] and
+        runs from -inf to +inf between two poles, so the interval holds a
+        root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2; a
+        pole of weight 0 is itself a root. -F(hi) is the secular function
+        with t and the poles negated, taken at -hi, so at both ends the
+        denominators are the end minus a pole: where an end falls on a pole
+        that is +0, which gives F's limit from inside the interval. An end
+        on a pole of weight 0 gives nan and counts as neither sign. No
+        coefficient or product over the poles is formed, so the bound holds
+        at any degree and any pole multiplicity.
+        """
         if self.degree == 1:
             return self.blocks[:, :, 0]
         z = np.linalg.eigvalsh(self.blocks)
-        cols = self.coeffs.T[:, :, None]
-        val = cols[-1]
-        for c in cols[-2::-1]:
-            val = val * z + c
-        if np.abs(val).max() <= TOL_ROOT:  # monic, so no bound is below TOL_ROOT
+        h = TOL_ROOT * np.maximum(1.0, np.maximum(-z[:, :1], z[:, -1:]))
+        y = _ENDS * z - h
+        p, w = self.poles[:, None, :], self.weights[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = y[..., None] - _ENDS[..., None] * p
+            signs = y - _ENDS * self.t[:, None] <= (w / d).sum(axis=-1)
+        if signs.all():
             return z
-        bound = (TOL_ROOT * np.abs(self.coeffs).max(axis=1, keepdims=True)
-                 * np.maximum(1.0, np.abs(z)) ** self.degree)
-        bad = np.abs(val) > bound
+        inside = (d < 0).all(axis=0).sum(axis=-1)  # lo < p and p < hi
+        bad = signs.sum(axis=0) + inside < 2
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise InternalCheckError(
-                f"{self.label} root {z[i, j]:.6g} leaves residual {abs(val[i, j]):.3e} "
-                "in its factor, above TOL_ROOT")
+                f"{self.label} root {z[i, j]:.6g} is not within {h[i, 0]:.3e} of a "
+                "root of its factor in secular form")
         return z
 
     def groups(self):
@@ -148,110 +174,45 @@ class FactorFamily:
             start += mult
         return out
 
-
-_ENDS = np.array([[1.0], [-1.0]])  # rows z - h and -(z + h) of CoronalFactor.roots
-
-
-@dataclass(frozen=True, eq=False)
-class CoronalFactor:
-    """The join's coronal factor: the bracket of the factorization times the
-    k linear factors x - a n1 - v_i it cancels, of degree 2 + k, rooted as
-    the eigenvalues of the arrowhead block. label names it: "coronal" for a
-    join, "principal" for a central graph (k = 0).
-
-    With (v_i, c_i) the cell-constant eigenpairs of A_alpha(G2), Gamma(y) =
-    sum(c / (y - v)). poles p = (2a, a n1 + v) and weights W = (2 r1 (1-a)^2,
-    n1 (1-a)^2 c) make the bracket divided by x - 2a the secular function
-    F(x) = x - t - sum(W / (x - p)), t = n1 + a n2 - (1-a) r1 - 1, and the
-    factor F(x) prod(x - p). F increases between consecutive poles (W >= 0).
-    """
-
-    block: np.ndarray
-    t: float
-    poles: np.ndarray
-    weights: np.ndarray
-    label: str
-    count = 1
-
-    @property
-    def degree(self):
-        return 1 + len(self.poles)
+    def factor(self, row):
+        """The given row as a one-row stack, the view that Factor.poly holds:
+        it has coeffs, to_json and a point value."""
+        s = slice(row, row + 1)
+        return ArrowheadStack(self.label, self.blocks[s], self.t[s], self.poles[s],
+                              self.weights[s])
 
     def __call__(self, x):
-        """The factor's value at x, F(x) prod(x - p) multiplied out so that
-        it stays finite at the poles."""
-        d = x - self.poles
+        """A one-row stack's factor at x, F(x) prod(x - p) multiplied out so
+        that it stays finite at the poles."""
+        (t,), (p,), (w,) = self.t, self.poles, self.weights
+        d = x - p
         others = np.where(np.eye(len(d), dtype=bool), 1.0, d).prod(axis=1)
-        return d.prod() * (x - self.t) - self.weights @ others
-
-    def roots(self):
-        """(1, 2 + k) array of the block's eigenvalues, ascending, each
-        within h = TOL_ROOT * max(1, |z|max) of a root of the factor.
-
-        F increases on each pole-free piece of [lo, hi] = [z - h, z + h] and
-        runs from -inf to +inf between two poles, so the interval holds a
-        root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2; a
-        pole of weight 0 is itself a root. -F(hi) is the secular function
-        with t and the poles negated, taken at -hi, so at both ends the
-        denominators are the end minus a pole: where an end falls on a pole
-        that is +0, which gives F's limit from inside the interval. An end
-        on a pole of weight 0 gives nan and counts as neither sign. No
-        coefficient or product over the poles is formed, so the bound holds
-        at any k and any pole multiplicity.
-        """
-        z = np.linalg.eigvalsh(self.block)
-        h = TOL_ROOT * max(1.0, -z[0], z[-1])
-        y = _ENDS * z - h
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = y[..., None] - _ENDS[..., None] * self.poles
-            signs = y - _ENDS * self.t - (self.weights / d).sum(axis=-1) <= 0
-        if signs.all():
-            return z[None, :]
-        inside = ((y[0][:, None] < self.poles) & (self.poles < -y[1][:, None])).sum(axis=1)
-        ok = signs.sum(axis=0) + inside >= 2
-        if not ok.all():
-            raise InternalCheckError(
-                f"{self.label} root {z[np.argmin(ok)]:.6g} is not within {h:.3e} of a "
-                "root of its factor in secular form")
-        return z[None, :]
-
-    def groups(self):
-        return [(self.label, 0, 1)]
-
-    def factor(self, row):
-        return self
+        return d.prod() * (x - t) - w @ others
 
     @cached_property
     def coeffs(self):
-        """Ascending monomial coefficients; for factors and to_json only."""
-        out = np.convolve(np.poly(self.poles), [1.0, -self.t])  # descending
-        for j, w in enumerate(self.weights):
-            out[2:] -= w * np.poly(np.delete(self.poles, j))
+        """Ascending monomial coefficients of a one-row stack's factor; for
+        factors and to_json only."""
+        (t,), (p,), (w,) = self.t, self.poles, self.weights
+        out = np.convolve(np.poly(p), [1.0, -t])  # descending
+        for j, wj in enumerate(w):
+            out[2:] -= wj * np.poly(np.delete(p, j))
         return tuple(out[::-1].tolist())
 
     def to_json(self):
         return {"coeffs": list(self.coeffs)}
 
 
-def _linears(label, roots, keys=None):
-    roots = np.asarray(roots, dtype=float).reshape(-1)
-    coeffs = np.ones((len(roots), 2))
-    coeffs[:, 0] = -roots
-    return FactorFamily(label, roots.reshape(-1, 1, 1), coeffs, keys)
-
-
-def _quadratics(label, top, off, bottom, c0, c1, keys=None):
-    """Blocks [[top, off], [off, bottom]] against factors x^2 + c1 x + c0;
-    the arguments are scalars or length-k arrays."""
-    k = np.broadcast(top, off, bottom, c0, c1).size
-    blocks = np.empty((k, 2, 2))
-    blocks[:, 0, 0] = top
-    blocks[:, 0, 1] = blocks[:, 1, 0] = off
-    blocks[:, 1, 1] = bottom
-    coeffs = np.ones((k, 3))
-    coeffs[:, 0] = c0
-    coeffs[:, 1] = c1
-    return FactorFamily(label, blocks, coeffs, keys)
+def _arrowheads(label, corner, t, poles, weights, keys=None):
+    """The stack of blocks [[corner, sqrt(w)^T], [sqrt(w), diag(p)]] against
+    the factors of (t, poles, weights): poles and weights are (K, d - 1)
+    arrays, t has length K and corner broadcasts to it."""
+    k, m = poles.shape
+    blocks = np.zeros((k, m + 1, m + 1))
+    blocks[:, 0, 0] = corner
+    blocks.reshape(k, (m + 1) ** 2)[:, m + 2::m + 2] = poles  # the diagonal past the corner
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.sqrt(weights)
+    return ArrowheadStack(label, blocks, t, poles, weights, keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +220,9 @@ class FactoredCharPoly:
     """Characteristic polynomial in factored form.
 
     linear_root/linear_mult hold the (x - 2 alpha)^k subdivision factor
-    (mult may be zero); families hold every other factor, each rooted by
-    its own blocks. The factor degrees always sum to the order of the
-    implied matrix; construction fails rather than pad.
+    (mult may be zero); families hold every other factor as ArrowheadStacks,
+    each rooted by its own blocks. The factor degrees always sum to the
+    order of the implied matrix; construction fails rather than pad.
     """
 
     linear_root: float
@@ -320,13 +281,6 @@ def _spectrum(fac):
     return Spectrum.from_values(vals)
 
 
-def _float_alpha(alpha):
-    a = float(alpha)
-    if not (0 <= a <= 1):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # the join route, shared by central graphs and central vertex joins
 
@@ -358,17 +312,6 @@ def _adjacency_spectrum(G):
     return _eigh_checked(adjacency_matrix(G))[0][::-1]
 
 
-def _sqrt_shift(l, r):
-    # l >= -r for an r-regular graph; a rounding undershoot would give nan
-    return np.sqrt(np.maximum(l + r, 0.0))
-
-
-def _join_quadratics(l, n1, n2, r1, a):
-    b = (1 - a) * l + (1 - a * (n1 + n2))  # (x - 2a)(x + b) - (1-a)^2 (l + r1)
-    return _quadratics("base-eigenvalue", -b, (1 - a) * _sqrt_shift(l, r1), 2 * a,
-                       -2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, keys=l)
-
-
 def _charpoly_join(G1, r1, a, mu, v, c, label):
     """The factorization of the module docstring for G1 joined with a second
     graph given only by its split: mu the n2 - k eigenvalues of A_alpha(G2)
@@ -376,15 +319,20 @@ def _charpoly_join(G1, r1, a, mu, v, c, label):
     cell-constant eigenpairs. label names the arrowhead's factor."""
     n1, m1 = G1.n, G1.m
     n2 = len(mu) + len(v)
-    diagonal = np.concatenate(([a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1), 2 * a],
-                               a * n1 + v))
+    shifted, no_poles = a * n1 + mu, np.empty((len(mu), 0))
+    l = _adjacency_spectrum(G1)[1:]
+    t = a * (n1 + n2) - (1 - a) * l - 1
+    # l >= -r1 for an r1-regular graph; a rounding undershoot would give nan
+    base_weights = (1 - a) ** 2 * np.maximum(l + r1, 0.0)
+    poles = np.concatenate(([2 * a], a * n1 + v))
     weights = np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))
-    block = np.diag(diagonal)
-    block[0, 1:] = block[1:, 0] = np.sqrt(weights)
-    arrowhead = CoronalFactor(block, n1 + a * n2 - (1 - a) * r1 - 1, diagonal[1:],
-                              weights, label)
-    families = (_linears("g2-eigenvalue", a * n1 + mu, keys=mu),
-                _join_quadratics(_adjacency_spectrum(G1)[1:], n1, n2, r1, a), arrowhead)
+    corner = a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1)
+    families = (
+        _arrowheads("g2-eigenvalue", shifted, shifted, no_poles, no_poles, keys=mu),
+        _arrowheads("base-eigenvalue", t, t, np.full((len(l), 1), 2 * a),
+                    base_weights[:, None], keys=l),
+        _arrowheads(label, corner, np.array([n1 + a * n2 - (1 - a) * r1 - 1]),
+                    poles[None], weights[None]))
     return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
 
 
@@ -404,7 +352,8 @@ def charpoly_central_regular(G, alpha):
     multiplicities, and the 2x2 arrowhead over the original and subdivision
     vertices gives the principal factor.
     """
-    a = _float_alpha(alpha)
+    a = float(alpha)
+    _check_alpha(a, allow_one=True)
     r = _require_regular_base(G, "central-graph closed form")
     return _charpoly_join(G, r, a, _EMPTY, _EMPTY, _EMPTY, "principal")
 
@@ -430,12 +379,11 @@ def charpoly_cvjoin(G1, g2, alpha):
     linear factors, and the k cell-constant pairs that build the coronal
     arrowhead (see the module docstring).
     """
-    a = _float_alpha(alpha)
+    a = float(alpha)
+    _check_alpha(a, allow_one=True)
     r1 = _require_regular_base(G1, "vertex-join closed form")
     if isinstance(g2, tuple):
         p, q = g2
-        if p < 1 or q < 1:
-            raise ParameterError(f"need p, q >= 1, got ({p}, {q})")
         G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
     else:
         G2, colour = g2, [0] * g2.n

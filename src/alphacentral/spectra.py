@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -45,29 +46,33 @@ TOL_SING = 1e-8
 class Spectrum:
     """All real eigenvalues, descending, with a clustered multiplicity view.
 
-    values keeps the raw solver output; groups is the clustered view used
-    to compare against closed-form multiplicity claims.
+    values keeps the raw solver output; groups, derived from values on first
+    use, is the clustered view used to compare against closed-form
+    multiplicity claims.
     """
 
     values: tuple
-    groups: tuple
 
     @classmethod
-    def from_values(cls, values, cluster_tol=CLUSTER_TOL):
-        """Sort descending and group. A value joins the current group when it
-        lies less than cluster_tol below the group's first (largest) value,
-        not below its neighbour, so every group spans less than cluster_tol
-        and a chain of closely spaced values may split into several groups.
-        A group is reported as (first value, count)."""
-        vals = np.sort(np.asarray(values, dtype=float).ravel())[::-1].tolist()
+    def from_values(cls, values):
+        """The values sorted descending; groups follow on first use."""
+        return cls(tuple(np.sort(np.asarray(values, dtype=float).ravel())[::-1].tolist()))
+
+    @cached_property
+    def groups(self):
+        """(first value, count) per group. A value joins the current group
+        when it lies less than CLUSTER_TOL below the group's first (largest)
+        value, not below its neighbour, so every group spans less than
+        CLUSTER_TOL and a chain of closely spaced values may split into
+        several groups."""
         groups = []
-        for v in vals:
-            if groups and groups[-1][0] - v < cluster_tol:
+        for v in self.values:
+            if groups and groups[-1][0] - v < CLUSTER_TOL:
                 rep, mult = groups[-1]
                 groups[-1] = (rep, mult + 1)
             else:
                 groups.append((v, 1))
-        return cls(tuple(vals), tuple(groups))
+        return tuple(groups)
 
     @property
     def n(self):
@@ -205,7 +210,7 @@ def _as_float_matrix(M):
 # ---------------------------------------------------------------------------
 # eigensolving
 
-def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
+def eigenvalues_sym(M):
     """All eigenvalues of a symmetric matrix, descending, as a Spectrum.
 
     Backed by numpy's symmetric eigensolver. The backward-stability
@@ -213,7 +218,7 @@ def eigenvalues_sym(M, cluster_tol=CLUSTER_TOL):
     call and raising InternalCheckError on violation.
     """
     w, _ = _eigh_checked(M)
-    return Spectrum.from_values(w[::-1], cluster_tol)
+    return Spectrum.from_values(w[::-1])
 
 
 def _eigh_checked(M):

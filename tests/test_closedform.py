@@ -13,7 +13,7 @@ from alphacentral import (Graph, InternalCheckError, PreconditionError,
                           eigenvalues_sym, equitable_partition, generate,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
-from alphacentral.closedform import TOL_MATCH, FactorFamily, _quadratics
+from alphacentral.closedform import TOL_MATCH, _arrowheads
 from alphacentral.exactalg import det_exact
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
@@ -30,14 +30,16 @@ def _max_dev(spec1, spec2):
 
 # --- block roots
 
-def _family(blocks, coeffs):
-    return FactorFamily("test", np.array(blocks, dtype=float),
-                        np.array(coeffs, dtype=float))
+def _quadratic_stack(corner, t, pole, weight):
+    """A stack of 2x2 arrowheads [[corner, sqrt(weight)], [., pole]]
+    against the factors (x - pole)(x - t) - weight."""
+    corner, t, pole, weight = (np.array(v, dtype=float) for v in (corner, t, pole, weight))
+    return _arrowheads("test", corner, t, pole[:, None], weight[:, None])
 
 
 def test_block_roots_simple():
     # [[0, 1], [1, 0]] has characteristic polynomial x^2 - 1
-    z = _family([[[0, 1], [1, 0]]], [[-1, 0, 1]]).roots()
+    z = _quadratic_stack([0.0], [0.0], [0.0], [1.0]).roots()
     assert z == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-15)
 
 
@@ -45,20 +47,11 @@ def test_block_roots_wide_scale():
     # [[1e6, 1], [1, 0]]: x^2 - 1e6 x - 1, roots about 1e6 and -1e-6; the
     # small root keeps its relative accuracy, which the naive quadratic
     # formula loses
-    fam = _quadratics("test", 1e6, 1.0, 0.0, -1.0, -1e6)
+    fam = _quadratic_stack([1e6], [1e6], [0.0], [1.0])
+    assert fam.factor(0).coeffs == (-1.0, -1e6, 1.0)
     small, big = fam.roots()[0]
     assert big == pytest.approx(5e5 + np.sqrt(2.5e11 + 1), rel=1e-12)
     assert small == pytest.approx(-1.0 / big, rel=1e-9)
-
-
-def test_block_roots_cubic_batch():
-    # diag(1, 2, 3) and a rotated copy, both against (x-1)(x-2)(x-3)
-    q, _ = np.linalg.qr(np.array([[1.0, 2, 0], [0, 1, 3], [4, 0, 1]]))
-    rotated = q @ np.diag([1.0, 2.0, 3.0]) @ q.T
-    rotated = (rotated + rotated.T) / 2
-    cubic = [-6.0, 11.0, -6.0, 1.0]
-    z = _family([np.diag([1.0, 2.0, 3.0]), rotated], [cubic, cubic]).roots()
-    assert z == pytest.approx(np.array([[1.0, 2, 3], [1, 2, 3]]), abs=1e-12)
 
 
 def test_block_roots_alpha_one_double_root():
@@ -72,20 +65,14 @@ def test_block_roots_alpha_one_double_root():
 
 
 def test_block_disagreeing_with_factor_raises():
-    # the block's eigenvalues are +-1, the factor's roots +-2
-    with pytest.raises(InternalCheckError, match="residual"):
-        _family([[[0, 1], [1, 0]]], [[-4, 0, 1]]).roots()
-    # one bad row in a batch is enough
-    with pytest.raises(InternalCheckError):
-        _family([[[0, 1], [1, 0]], [[1, 0], [0, 3]]],
-                [[-1, 0, 1], [3.001, -4, 1]]).roots()
-
-
-def test_block_residual_bound_scales_with_the_factor():
-    # diag(1e4, 2e4) against (x - 1e4)(x - 2e4) + 1e-3: the residual 1e-3
-    # is far above TOL_ROOT but within TOL_ROOT * 2e8 * (2e4)^2
-    z = _family([np.diag([1e4, 2e4])], [[2e8 + 1e-3, -3e4, 1]]).roots()
-    assert z.tolist() == [[1e4, 2e4]]
+    # the block's eigenvalues are +-1, the factor x^2 - 4's roots +-2
+    fam = _quadratic_stack([0.0], [0.0], [0.0], [1.0])
+    with pytest.raises(InternalCheckError, match="test root"):
+        dataclasses.replace(fam, weights=np.array([[4.0]])).roots()
+    # one bad row in a batch is enough: diag(1, 3) against (x - 3)(x - 1.001)
+    fam = _quadratic_stack([0.0, 1.0], [0.0, 1.001], [0.0, 3.0], [1.0, 0.0])
+    with pytest.raises(InternalCheckError, match="test root 1 "):
+        fam.roots()
 
 
 # --- central graph closed form
@@ -128,6 +115,46 @@ def test_central_json_matches_paper_polynomials(name, a):
         assert got[label][1] == mult
         scale = max(abs(c) for c in coeffs)
         assert np.allclose(got[label][0], coeffs, rtol=0, atol=1e-12 * scale), label
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.9999, 1.0])
+@pytest.mark.parametrize("second", ["K2", "C5", "K2,3"])
+def test_join_json_matches_paper_polynomials(second, a):
+    # the paper's factorization of A_alpha(G1 v G2), G1 r1-regular on n1
+    # vertices and G2 on n2, written out here and nowhere else: per
+    # adjacency eigenvalue l of G1 past one copy of r1 the quadratic
+    # (x - 2a)(x - a(n1+n2) + (1-a) l + 1) - (1-a)^2 (l + r1), and per
+    # eigenvalue mu of A_alpha(G2) orthogonal to its cell-constant vectors
+    # the linear factor x - a n1 - mu
+    G1 = generate("petersen")
+    n1, m1, r1 = G1.n, G1.m, 3
+    g2, n2, mus = {
+        "K2": (generate("complete", [2]), 2, [2 * a - 1]),
+        "C5": (generate("cycle", [5]), 5,
+               [2 * a + 2 * (1 - a) * np.cos(2 * np.pi * k / 5) for k in range(1, 5)]),
+        # vectors on one part summing to 0 have eigenvalue a times the other part
+        "K2,3": ((2, 3), 5, [3 * a, 2 * a, 2 * a]),
+    }[second]
+    want = {}
+    for l, mult in ((1, 5), (-2, 4)):  # Petersen's eigenvalues past r1 = 3
+        b = (1 - a) * l + 1 - a * (n1 + n2)
+        want[f"base-eigenvalue {l}"] = (
+            [-2 * a * b - (1 - a) ** 2 * (l + r1), b - 2 * a, 1.0], mult)
+    j = charpoly_cvjoin(G1, g2, a).to_json()
+    assert j["linear"] == {"root": 2 * a, "mult": m1 - n1}
+    got = {f["label"]: (f["coeffs"], f["mult"]) for f in j["factors"]}
+    for label, (coeffs, mult) in want.items():
+        assert got[label][1] == mult
+        scale = max(abs(c) for c in coeffs)
+        assert np.allclose(got[label][0], coeffs, rtol=0, atol=1e-12 * scale), label
+    linears = [(coeffs, mult) for label, (coeffs, mult) in got.items()
+               if label.startswith("g2-eigenvalue")]
+    assert all(len(coeffs) == 2 and coeffs[1] == 1.0 for coeffs, _ in linears)
+    roots = sorted(-coeffs[0] for coeffs, mult in linears for _ in range(mult))
+    want_roots = sorted(a * n1 + mu for mu in mus)
+    assert np.allclose(roots, want_roots, rtol=1e-12, atol=1e-12)
+    assert {label for label in got if not label.startswith("g2-eigenvalue")} == \
+        set(want) | {"coronal"}
 
 
 def test_central_k3_alpha1_all_two():
@@ -311,8 +338,8 @@ def test_cvjoin_generic_evaluate_needs_no_eigensolver(monkeypatch):
     fac = charpoly_cvjoin(g1, PAW, 0.3)
     term = next(f.poly for f in fac.factors if f.label == "coronal")
     # poles 2 alpha and alpha n1 + v_i; weights n1 (1-alpha)^2 c_i past the first
-    assert term.poles.shape == term.weights.shape == (1 + 3,)
-    assert sum(term.weights[1:]) == pytest.approx(g1.n * 0.7 ** 2 * PAW.n)
+    assert term.poles.shape == term.weights.shape == (1, 1 + 3)
+    assert term.weights[0, 1:].sum() == pytest.approx(g1.n * 0.7 ** 2 * PAW.n)
     poly = char_poly(a_alpha_matrix(central_vertex_join(g1, PAW), 0.3))
 
     def forbidden(*args, **kwargs):
@@ -387,18 +414,28 @@ def test_near_one_matches_oracle(g1, second, a):
     assert _max_dev(closed, _oracle(built, a)) <= 1e-8
 
 
-@pytest.mark.parametrize("n1,second,a", [
+@pytest.mark.parametrize("base,second,a", [
     (3, None, 1 - 1e-10),
     (4, 1, 1 - 2e-10),
     (4, (1, 2), 1 - 3e-10),
     (3, (1, 1), 1 - 1e-10),
+    ("cycle:6", None, 1 - 1e-10),
+    ("complete_bipartite:3,3", None, 1 - 2e-10),
+    ("complete_bipartite:3,3", (1, 1), 1 - 3e-10),
+    ("cycle:6", 2, 0.0),
 ])
-def test_arrowhead_root_check_with_an_end_on_a_pole(n1, second, a):
+def test_arrowhead_root_check_with_an_end_on_a_pole(base, second, a):
     # z + h or z - h rounds exactly onto a pole of the secular function: the
     # principal roots of C(K3) are 2a +- 2(1-a) with h = 2e-10, one pole
-    # 2(1-a) away; the pole met in K3 v K_{1,1} has weight 0. The check
+    # 2(1-a) away; the pole met in K3 v K_{1,1} has weight 0. A bipartite
+    # base (C6, K_{3,3}) has the adjacency eigenvalue -r, whose
+    # base-eigenvalue row has a pole 2a of weight 0 at its root. The check
     # accepts the roots without dividing by zero
-    g1 = generate("complete", [n1])
+    if isinstance(base, int):
+        g1 = generate("complete", [base])
+    else:
+        name, _, params = base.partition(":")
+        g1 = generate(name, [int(p) for p in params.split(",")])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if second is None:
@@ -456,7 +493,7 @@ def test_cvjoin_kpq_3_3_alpha_one_repeated_cell_eigenvalue():
     fac = charpoly_cvjoin(g1, (3, 3), 1.0)
     coronal = _coronal(fac)
     assert coronal.degree == 4
-    assert coronal.poles[1:] == pytest.approx([g1.n + 3.0] * 2, abs=1e-12)
+    assert coronal.poles[0, 1:] == pytest.approx([g1.n + 3.0] * 2, abs=1e-12)
     built = central_vertex_join(g1, generate("complete_bipartite", [3, 3]))
     assert _max_dev(spectrum_cvjoin_kpq(g1, 3, 3, 1.0), _oracle(built, 1.0)) <= TOL_MATCH
 
@@ -465,16 +502,16 @@ def test_coronal_block_disagreeing_with_factor_raises():
     fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.3)
     coronal = _coronal(fac)
     # a raised corner moves roots above the factor's, a lowered one below
-    shifted, lowered = coronal.block.copy(), coronal.block.copy()
-    shifted[0, 0] += 1e-6
-    lowered[0, 0] -= 1e-6
+    shifted, lowered = coronal.blocks.copy(), coronal.blocks.copy()
+    shifted[0, 0, 0] += 1e-6
+    lowered[0, 0, 0] -= 1e-6
     # a cell decoupled from V1 puts a root on a pole of nonzero weight,
     # where the factor has none
-    decoupled = coronal.block.copy()
-    decoupled[0, 2] = decoupled[2, 0] = 0.0
-    for block in (shifted, lowered, decoupled):
+    decoupled = coronal.blocks.copy()
+    decoupled[0, 0, 2] = decoupled[0, 2, 0] = 0.0
+    for blocks in (shifted, lowered, decoupled):
         with pytest.raises(InternalCheckError, match="coronal root"):
-            dataclasses.replace(coronal, block=block).roots()
+            dataclasses.replace(coronal, blocks=blocks).roots()
 
 
 def test_cvjoin_disconnected_base_matches_oracle():
@@ -487,28 +524,13 @@ def test_cvjoin_disconnected_base_matches_oracle():
             assert _max_dev(closed, _oracle(central_vertex_join(two_c4, g2), a)) <= TOL_MATCH
 
 
-def _faddeev_leverrier(B):
-    """Ascending characteristic polynomial coefficients of B, in floats."""
-    n = len(B)
-    M, coeffs = np.zeros_like(B), [1.0]
-    for k in range(1, n + 1):
-        M = B @ M + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(B @ M) / k)
-    return np.array(coeffs[::-1])
-
-
 def test_coronal_secular_check_where_monomial_check_fails():
-    # G2 of order 12 with 12 cells: the 14 x 14 arrowhead's Faddeev-LeVerrier
-    # coefficients fail the monomial residual check at the block's
-    # eigenvalues, which the secular check accepts and the oracle confirms
+    # G2 of order 12 with 12 cells: the 14 x 14 arrowhead's monomial
+    # coefficients are too ill-conditioned to check its eigenvalues against,
+    # while the secular check accepts them and the oracle confirms
     g1, g2, a = generate("petersen"), _seeded_graph(3, 12, 0.3), 0.3
     fac = charpoly_cvjoin(g1, g2, a)
-    coronal = _coronal(fac)
-    assert coronal.degree == 14
-    monomial = FactorFamily("coronal", coronal.block[None],
-                            _faddeev_leverrier(coronal.block)[None])
-    with pytest.raises(InternalCheckError):
-        monomial.roots()
+    assert _coronal(fac).degree == 14
     built = central_vertex_join(g1, g2)
     assert _max_dev(spectrum_cvjoin_regular(g1, g2, a), _oracle(built, a)) <= TOL_MATCH
 
