@@ -191,20 +191,16 @@ def _cmd_closed_spectrum(args):
         fac = charpoly_cvjoin(_load_graph(args.graphs[0]),
                               _load_graph(args.graphs[1]), alpha)
 
+    if args.json:
+        print(json.dumps({"spectrum": Spectrum.from_values(fac.roots()).to_json(),
+                          "factors": fac.to_json()}))
+        return EXIT_OK
     rows = []
     if fac.linear_mult:
         rows.append((f"subdivision (x - {fac.linear_root:.10g})",
                      [fac.linear_root] * fac.linear_mult))
-    rows += fac.factor_roots()
-
-    if args.json:
-        allvals = sorted((v for _, roots in rows for v in roots), reverse=True)
-        print(json.dumps({"spectrum": Spectrum.from_values(allvals).to_json(),
-                          "factors": fac.to_json()}))
-    else:
-        for label, roots in rows:
-            pretty = " ".join(f"{v:.12g}" for v in roots)
-            print(f"{label}: {pretty}")
+    for label, roots in rows + fac.factor_roots():
+        print(f"{label}: {' '.join(f'{v:.12g}' for v in roots)}")
     return EXIT_OK
 
 

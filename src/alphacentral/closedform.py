@@ -15,9 +15,10 @@ factors as
                 - n1 (1-a)^2 Gamma(x - a n1)) - 2 r1 (1-a)^2]
 
 where Gamma is the coronal of A_alpha(G2). The (1-a)^2 power on the coronal
-coupling is the one confirmed against the dense eigensolver; see
-verify.formula_discrepancy_notes for the recorded check of the single-power
-variant.
+coupling is the one confirmed against the dense eigensolver. The rejected
+single-power coupling n1 (1-a) Gamma is this route's arrowhead with its
+cell weights divided by 1 - a; verify.formula_discrepancy_notes records its
+check.
 
 The central graph C(G) is the join with an empty G2: n2 = 0, no mu_i, and
 Gamma = 0, so with n = n1 and r = r1 its polynomial is the n2 = 0 case of
@@ -75,7 +76,8 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .graphs import adjacency_matrix, equitable_partition, generate
-from .spectra import Spectrum, _check_alpha, _eigh_checked, a_alpha_matrix
+from .spectra import (Spectrum, _check_alpha, _coronal_spectral, _eigh_checked,
+                      a_alpha_matrix)
 
 TOL_MATCH = 1e-8
 TOL_ROOT = 1e-10
@@ -367,21 +369,16 @@ def spectrum_central_regular(G, alpha):
 # ---------------------------------------------------------------------------
 # central vertex join
 
-def charpoly_cvjoin(G1, g2, alpha):
-    """Factored characteristic polynomial of A_alpha(central_vertex_join(G1, G2)).
+def _g2_split(g2, a):
+    """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
-    G1 must be r1-regular with r1 >= 2; G2 is any Graph, or a (p, q) tuple
-    for K_{p,q}. The cells of G2 are its coarsest equitable partition, or
-    the parts {P, Q} for a tuple (so the coronal factor of K_{p,q} is a
-    quartic even when p = q). One checked eigendecomposition of
-    A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
-    orthogonal to the cell-constant vectors, listed as "g2-eigenvalue"
-    linear factors, and the k cell-constant pairs that build the coronal
-    arrowhead (see the module docstring).
+    g2 is any Graph, or a (p, q) tuple for K_{p,q}. The cells of G2 are its
+    coarsest equitable partition, or the parts {P, Q} for a tuple (so the
+    coronal factor of K_{p,q} is a quartic even when p = q). One checked
+    eigendecomposition of A_alpha(G2) + sigma P splits, by index, into the
+    n2 - k eigenvalues orthogonal to the cell-constant vectors and the k
+    cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
     """
-    a = float(alpha)
-    _check_alpha(a, allow_one=True)
-    r1 = _require_regular_base(G1, "vertex-join closed form")
     if isinstance(g2, tuple):
         p, q = g2
         G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
@@ -399,9 +396,22 @@ def charpoly_cvjoin(G1, g2, alpha):
     colour = np.array(colour)
     same = colour[:, None] == colour
     M += sigma * (same / same.sum(axis=1))
-    w, V = _eigh_checked(M)
-    return _charpoly_join(G1, r1, a, w[:n2 - k][::-1], w[n2 - k:] - sigma,
-                          V[:, n2 - k:].sum(axis=0) ** 2, "coronal")
+    w, c = _coronal_spectral(M)
+    return w[:n2 - k][::-1], w[n2 - k:] - sigma, c[n2 - k:]
+
+
+def charpoly_cvjoin(G1, g2, alpha):
+    """Factored characteristic polynomial of A_alpha(central_vertex_join(G1, G2)).
+
+    G1 must be r1-regular with r1 >= 2; G2 is any Graph, or a (p, q) tuple
+    for K_{p,q}. The split of G2 (_g2_split) gives the "g2-eigenvalue"
+    linear factors and the cells of the coronal arrowhead (see the module
+    docstring).
+    """
+    a = float(alpha)
+    _check_alpha(a, allow_one=True)
+    r1 = _require_regular_base(G1, "vertex-join closed form")
+    return _charpoly_join(G1, r1, a, *_g2_split(g2, a), "coronal")
 
 
 def spectrum_cvjoin_regular(G1, G2, alpha):

@@ -232,7 +232,8 @@ def _eigh_checked(M):
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     R = Mf @ V - V * w
     resid = math.sqrt(np.vdot(R, R))
-    if resid > TOL_EIG * n * scale:
+    # a nan residual fails, and so does an eigenvalue that overflowed to inf
+    if not resid <= TOL_EIG * n * scale < math.inf:
         raise InternalCheckError(
             f"eigensolver residual {resid:.3e} exceeds {TOL_EIG:.0e} * n * ||M||")
     return w, V

@@ -2,10 +2,14 @@
 cospectral join families.
 
 Every closed form in closedform is checked here against the dense
-eigensolver on the explicitly built graph. Failures become report entries,
-never exceptions; inputs outside a formula's hypotheses are marked skipped.
-The report also carries formula-check notes recording variant formulas that
-were tested against the oracle and rejected (see formula_discrepancy_notes).
+eigensolver on the explicitly built graph: one oracle (_oracle) and one
+positionwise gap (_gap) serve the sweep, spectra_equal, the cospectral
+families and the ledger. Failures become report entries, never exceptions;
+inputs outside a formula's hypotheses are marked skipped. The report also
+carries formula-check notes recording variant formulas that were tested
+against the oracle and rejected (see formula_discrepancy_notes); the
+rejected single-power coronal coupling is the join's own arrowhead with
+its cell weights divided by 1 - a.
 """
 
 from __future__ import annotations
@@ -15,18 +19,18 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import exactalg
-from .closedform import (TOL_MATCH, charpoly_cvjoin, spectrum_central_regular,
+from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_regular,
                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError, SingularityError
-from .graphs import Graph, generate, nonisomorphism_witness, regularity
-from .spectra import (TOL_NUM, TOL_SING, Polynomial, Spectrum, _check_alpha,
-                      _coronal_spectral, _coronal_values, a_alpha_matrix, char_poly,
-                      eigenvalues_sym)
+from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
+from .spectra import (TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_spectral,
+                      _coronal_values, a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,18 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # spectra comparison
 
+def _oracle(G, a):
+    """The dense eigensolver's spectrum of A_alpha(G)."""
+    return eigenvalues_sym(a_alpha_matrix(G, a))
+
+
+def _gap(v1, v2):
+    """Largest positionwise |x - y| of two value sequences of one length (0
+    when empty), nan when some position is nan."""
+    gaps = [abs(x - y) for x, y in zip(v1, v2)]
+    return math.nan if math.isnan(sum(gaps)) else max(gaps, default=0.0)
+
+
 def spectra_equal(s1, s2, tol=TOL_MATCH):
     """True iff both spectra have the same length and agree positionwise.
 
@@ -117,9 +133,7 @@ def spectra_equal(s1, s2, tol=TOL_MATCH):
     """
     v1 = s1.values if isinstance(s1, Spectrum) else sorted(map(float, s1), reverse=True)
     v2 = s2.values if isinstance(s2, Spectrum) else sorted(map(float, s2), reverse=True)
-    if len(v1) != len(v2):
-        return False
-    return all(abs(a - b) <= tol for a, b in zip(v1, v2))
+    return len(v1) == len(v2) and _gap(v1, v2) <= tol
 
 
 def charpolys_equal_exact(m1, m2):
@@ -131,19 +145,12 @@ def charpolys_equal_exact(m1, m2):
         char_poly(np.asarray(m2, dtype=object)).coeffs
 
 
-def _int_adjacency(G):
-    M = [[0] * G.n for _ in range(G.n)]
-    for i, j in G.edges:
-        M[i][j] = M[j][i] = 1
-    return M
-
-
 def a_cospectral_exact(G1, G2):
     """Exact adjacency cospectrality via integer characteristic polynomials."""
     if G1.n != G2.n:
         return False
-    return exactalg.charpoly_int(_int_adjacency(G1)) == \
-        exactalg.charpoly_int(_int_adjacency(G2))
+    return exactalg.charpoly_int(adjacency_matrix(G1).astype(np.int64)) == \
+        exactalg.charpoly_int(adjacency_matrix(G2).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +183,20 @@ def default_alpha_grid():
     return [0.0, 0.25, 0.5, 0.75, 0.9999, 0.99999999, 1.0]
 
 
-def _case_label(entry):
+def _closed_and_built(entry):
+    """(label, source, closed, build) for a catalog entry: closed(alpha) is
+    the closed-form spectrum and build() the explicitly built graph."""
     if isinstance(entry, Graph):
-        return f"central({_name(entry)})"
+        return (f"central({_name(entry)})", "central-factorization",
+                lambda a: spectrum_central_regular(entry, a), lambda: central_graph(entry))
     g1, second = entry
     if isinstance(second, tuple):
-        return f"{_name(g1)} vjoin K{second[0]},{second[1]}"
-    return f"{_name(g1)} vjoin {_name(second)}"
-
-
-def _closed_and_built(entry, alpha):
-    """Closed-form spectrum and explicitly built graph for a catalog entry."""
-    if isinstance(entry, Graph):
-        return (spectrum_central_regular(entry, alpha), central_graph(entry),
-                "central-factorization")
-    g1, second = entry
-    if isinstance(second, tuple):
-        built = central_vertex_join(g1, generate("complete_bipartite", list(second)))
-        return spectrum_cvjoin_kpq(g1, *second, alpha), built, "cvjoin-kpq-factorization"
-    return (spectrum_cvjoin_regular(g1, second, alpha), central_vertex_join(g1, second),
-            "cvjoin-factorization")
+        return (f"{_name(g1)} vjoin K{second[0]},{second[1]}", "cvjoin-kpq-factorization",
+                lambda a: spectrum_cvjoin_kpq(g1, *second, a),
+                lambda: central_vertex_join(g1, generate("complete_bipartite", list(second))))
+    return (f"{_name(g1)} vjoin {_name(second)}", "cvjoin-factorization",
+            lambda a: spectrum_cvjoin_regular(g1, second, a),
+            lambda: central_vertex_join(g1, second))
 
 
 def sweep(catalog, alpha_grid, include_formula_notes=True):
@@ -208,22 +209,22 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
     """
     report = VerificationReport()
     for entry in catalog:
-        label = _case_label(entry)
+        label, source, closed_at, build = _closed_and_built(entry)
         for alpha in alpha_grid:
             a = float(alpha)
             try:
-                closed, built, source = _closed_and_built(entry, a)
+                closed = closed_at(a)
             except PreconditionError as exc:
                 report.cases.append(SweepCase(label, alpha, "none", "skip",
                                               note=str(exc)))
                 continue
-            oracle = eigenvalues_sym(a_alpha_matrix(built, a))
+            oracle = _oracle(build(), a)
             if closed.n != oracle.n:
                 report.cases.append(SweepCase(
                     label, alpha, source, "fail",
                     note=f"size mismatch: closed {closed.n} vs oracle {oracle.n}"))
                 continue
-            dev = max(abs(x - y) for x, y in zip(closed.values, oracle.values))
+            dev = _gap(closed.values, oracle.values)
             status = "pass" if dev <= TOL_MATCH else "fail"
             report.cases.append(SweepCase(label, alpha, source, status,
                                           deviation=dev,
@@ -312,9 +313,8 @@ def cospectral_cvjoin_family(g1, g2, h, alpha_grid):
 
     for alpha in alpha_grid:
         a = float(alpha)
-        s1 = eigenvalues_sym(a_alpha_matrix(j1, a))
-        s2 = eigenvalues_sym(a_alpha_matrix(j2, a))
-        dev = max(abs(x - y) for x, y in zip(s1.values, s2.values))
+        s1, s2 = _oracle(j1, a), _oracle(j2, a)
+        dev = _gap(s1.values, s2.values)
         exact_note = "numeric"
         ok = dev <= TOL_MATCH
         if isinstance(alpha, Fraction):
@@ -373,25 +373,13 @@ def _central_complete_variant(n, a):
 
 
 def _cvjoin_closed_variant_single_power(g1, g2, a):
-    """Join spectrum with the coronal coupling taken as n1*(1-a)*Gamma
-    instead of n1*(1-a)^2*Gamma (rejected form). Every factor but the
-    coronal one is rooted by the same blocks as the accepted form."""
-    n1, r1 = g1.n, regularity(g1)
-    n2, r2 = g2.n, regularity(g2)
-    fac = charpoly_cvjoin(g1, g2, a)
-    vals = [fac.linear_root] * fac.linear_mult
-    for fam in fac.families:
-        if fam.label != "coronal":
-            vals += fam.roots().ravel().tolist()
-    shift = Polynomial.of([-(a * n1 + r2), 1.0])
-    lin = Polynomial.of([-n1 - a * n2 + (1 - a) * r1 + 1, 1.0])
-    inner = shift * lin - Polynomial.of([n1 * (1 - a) * n2])
-    cubic = Polynomial.of([-2 * a, 1.0]) * inner - (2 * r1 * (1 - a) ** 2) * shift
-    # the variant is expected to be wrong, so its roots need not be real;
-    # take real parts of whatever comes out
-    raw = np.roots(list(cubic.coeffs)[::-1])
-    vals += [float(z.real) for z in raw]
-    return sorted(vals, reverse=True)
+    """Join spectrum, descending, with the coronal coupling taken as
+    n1*(1-a)*Gamma instead of n1*(1-a)^2*Gamma (rejected form), for any G2
+    and a < 1: the join's factorization with the coronal arrowhead's cell
+    weights n1*(1-a)^2*c divided by 1 - a, so every root is real."""
+    mu, v, c = _g2_split(g2, a)
+    return _charpoly_join(g1, regularity(g1), a, mu, v, c / (1 - a),
+                          "coronal").roots().tolist()
 
 
 def formula_discrepancy_notes():
@@ -402,61 +390,41 @@ def formula_discrepancy_notes():
     gives (x - 2)^6), the single vs squared coronal coupling power in the
     join factorization, and the join vertex/edge count formulas.
     """
-    notes = []
-
-    worst_variant, worst_factored = 0.0, 0.0
-    for n in (3, 4, 5):
-        kn = generate("complete", [n])
-        ck = central_graph(kn)
-        for a in (0.0, 0.5, 1.0):
-            oracle = eigenvalues_sym(a_alpha_matrix(ck, a)).values
-            variant = _central_complete_variant(n, a)
-            factored = spectrum_central_regular(kn, a).values
-            worst_variant = max(worst_variant,
-                                max(abs(x - y) for x, y in zip(variant, oracle)))
-            worst_factored = max(worst_factored,
-                                 max(abs(x - y) for x, y in zip(factored, oracle)))
-    k3 = generate("complete", [3])
-    pinned = spectrum_central_regular(k3, 1.0)
-    pinned_ok = all(abs(v - 2.0) < 1e-12 for v in pinned.values)
-    var_pinned = _central_complete_variant(3, 1.0)
-    notes.append(
+    k3, k2 = generate("complete", [3]), generate("complete", [2])
+    ledger = [(kn, (0.0, 0.5, 1.0), partial(_central_complete_variant, kn.n))
+              for kn in (k3, generate("complete", [4]), generate("complete", [5]))]
+    ledger += [((g1, g2), (0.25, 0.5, 0.75),
+                partial(_cvjoin_closed_variant_single_power, g1, g2))
+               for g1, g2 in ((k3, k2), (generate("cycle", [4]), generate("cycle", [5])))]
+    worst = {}  # source -> (worst closed-form gap, worst variant gap)
+    for entry, alphas, variant in ledger:
+        _, source, closed_at, build = _closed_and_built(entry)
+        for a in alphas:
+            oracle = _oracle(build(), a).values
+            gaps = (_gap(closed_at(a).values, oracle), _gap(variant(a), oracle))
+            worst[source] = tuple(map(max, worst.get(source, gaps), gaps))
+    worst_factored, worst_variant = worst["central-factorization"]
+    worst_squared, worst_single = worst["cvjoin-factorization"]
+    pinned_ok = all(abs(v - 2.0) < 1e-12 for v in spectrum_central_regular(k3, 1.0).values)
+    var_pinned = sorted(set(round(v, 6) for v in _central_complete_variant(3, 1.0)))
+    j = central_vertex_join(k3, k2)
+    alt_v = k3.n * (1 + k2.n) + k3.m
+    alt_e = 2 * k3.m + k3.n * (k2.n + k2.m)
+    return [
         "central graph of K_n, explicit-root variant vs factorization: over n in "
         "{3,4,5} and alpha in {0, 1/2, 1} the factorization matches the "
         f"eigensolver to {worst_factored:.2e} while the explicit-root variant "
         f"deviates by up to {worst_variant:.2e}; pinned case K_3 at alpha=1: "
         f"factorization gives (x-2)^6 "
         f"({'confirmed' if pinned_ok else 'NOT confirmed'} by the eigensolver), "
-        f"variant gives values {sorted(set(round(v, 6) for v in var_pinned))}. "
-        "The variant agrees only at alpha=0 and is not used by this package.")
-
-    worst_single, worst_squared = 0.0, 0.0
-    pairs = [(generate("complete", [3]), generate("complete", [2])),
-             (generate("cycle", [4]), generate("cycle", [5]))]
-    for g1, g2 in pairs:
-        built = central_vertex_join(g1, g2)
-        for a in (0.25, 0.5, 0.75):
-            oracle = eigenvalues_sym(a_alpha_matrix(built, a)).values
-            squared = spectrum_cvjoin_regular(g1, g2, a).values
-            single = _cvjoin_closed_variant_single_power(g1, g2, a)
-            worst_squared = max(worst_squared,
-                                max(abs(x - y) for x, y in zip(squared, oracle)))
-            worst_single = max(worst_single,
-                               max(abs(x - y) for x, y in zip(single, oracle)))
-    notes.append(
+        f"variant gives values {var_pinned}. "
+        "The variant agrees only at alpha=0 and is not used by this package.",
         "join coronal coupling power: squared coupling n1*(1-a)^2*Gamma matches "
         f"the eigensolver to {worst_squared:.2e} over K3/C4 joined with K2/C5 at "
         f"alpha in {{1/4, 1/2, 3/4}}; the single-power variant n1*(1-a)*Gamma "
-        f"deviates by up to {worst_single:.2e} and is rejected.")
-
-    k3, k2 = generate("complete", [3]), generate("complete", [2])
-    j = central_vertex_join(k3, k2)
-    alt_v = k3.n * (1 + k2.n) + k3.m
-    alt_e = 2 * k3.m + k3.n * (k2.n + k2.m)
-    notes.append(
+        f"deviates by up to {worst_single:.2e} and is rejected.",
         "join size accounting: the built join of G1(n1, m1) with G2(n2, m2) has "
         "n1+m1+n2 vertices and m1+n1(n1-1)/2+m2+n1*n2 edges "
         f"(K3 join K2: {j.n} vertices, {j.m} edges); the alternative counts "
         f"n1(1+n2)+m1 and 2*m1+n1*(n2+m2) predict {alt_v} and {alt_e} and fail "
-        "the check. Factor-degree accounting is asserted against the built order.")
-    return notes
+        "the check. Factor-degree accounting is asserted against the built order."]

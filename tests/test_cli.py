@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from alphacentral import parse_edge_list
+from alphacentral import (generate, parse_edge_list, spectrum_central_regular,
+                          spectrum_cvjoin_regular)
 from alphacentral.cli import main
 
 
@@ -121,6 +122,19 @@ def test_closed_spectrum_precondition_exit(capsys, tmp_path):
     code, out, _ = run(capsys, "closed-spectrum", "cvjoin", "complete:3",
                        str(paw), "--alpha", "0.5")
     assert code == 0 and "coronal" in out
+
+
+def test_closed_spectrum_json_is_the_closed_form_spectrum(capsys, tmp_path):
+    paw = tmp_path / "paw.txt"
+    paw.write_text("4\n0 1\n0 2\n1 2\n2 3\n")
+    pet = generate("petersen")
+    for argv, expected in (
+            (("cvjoin", "petersen", str(paw)),
+             spectrum_cvjoin_regular(pet, parse_edge_list(paw.read_text()), 0.3)),
+            (("central", "petersen"), spectrum_central_regular(pet, 0.3))):
+        code, out, _ = run(capsys, "closed-spectrum", *argv, "--alpha", "0.3", "--json")
+        assert code == 0
+        assert json.loads(out)["spectrum"] == expected.to_json()
 
 
 def test_closed_spectrum_exact_alpha_refused(capsys):

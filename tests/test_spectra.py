@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alphacentral import (Graph, ParameterError, PreconditionError,
+from alphacentral import (Graph, InternalCheckError, ParameterError, PreconditionError,
                           SingularityError, a_alpha_energy, a_alpha_matrix,
                           adjacency_matrix, char_poly, coronal_eval,
                           coronal_kpq_alpha, coronal_regular, degree_matrix,
@@ -109,6 +109,16 @@ def test_k2_family_spectrum(a):
 def test_nonsymmetric_rejected():
     with pytest.raises(ParameterError):
         eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_non_finite_eigenvalues_fail_the_residual_check():
+    # eigh returns nan for an infinite entry, so the residual is nan, and
+    # 1e308 entries overflow an eigenvalue to inf, so the bound is inf; both
+    # must fail the TOL_EIG check instead of returning a Spectrum
+    for m in ([[np.inf, 1.0], [1.0, 0.0]], [[0.0, -np.inf], [-np.inf, 0.0]],
+              [[1e308, 1e308], [1e308, 1e308]]):
+        with np.errstate(all="ignore"), pytest.raises(InternalCheckError, match="residual"):
+            eigenvalues_sym(np.array(m))
 
 
 def test_spectrum_groups_by_distance_from_the_groups_first_value():

@@ -9,10 +9,11 @@ from alphacentral import (PreconditionError, SingularityError, a_alpha_matrix,
                           cospectral_cvjoin_family, eigenvalues_sym,
                           formula_discrepancy_notes, generate, spectra_equal,
                           sweep)
-from alphacentral.verify import (a_cospectral_exact, charpolys_equal_exact,
-                                 coronal_sample_points, default_alpha_grid,
-                                 default_catalog)
-from alphacentral.graphs import Graph
+from alphacentral.closedform import charpoly_cvjoin
+from alphacentral.graphs import Graph, regularity
+from alphacentral.verify import (_cvjoin_closed_variant_single_power, a_cospectral_exact,
+                                 charpolys_equal_exact, coronal_sample_points,
+                                 default_alpha_grid, default_catalog)
 
 
 def test_sweep_small_catalog_passes():
@@ -242,3 +243,46 @@ def test_coronal_sample_points_need_no_eigensolve(monkeypatch):
             pts = coronal_sample_points(h1, h2, a)
             assert len(pts) == 2 * max(h1.n, h2.n) + 1
             assert min(pts) > tops[k, a]
+
+
+# --- the rejected single-power coupling, rooted on the join's own arrowhead
+
+def _single_power_cubic_reference(g1, g2, a):
+    """The single-power variant for regular G2 with its coronal factor as
+    the hand-expanded cubic (x-2a)[(x-t)(x-a n1-r2) - n1(1-a)n2]
+    - 2r1(1-a)^2(x-a n1-r2), t = n1 + a n2 - (1-a) r1 - 1, rooted by
+    np.roots; every other factor from the accepted form."""
+    n1, r1, n2, r2 = g1.n, regularity(g1), g2.n, regularity(g2)
+    fac = charpoly_cvjoin(g1, g2, a)
+    vals = [fac.linear_root] * fac.linear_mult
+    for fam in fac.families:
+        if fam.label != "coronal":
+            vals += fam.roots().ravel().tolist()
+    t = n1 + a * n2 - (1 - a) * r1 - 1
+    shift = [1.0, -(a * n1 + r2)]  # descending coefficients
+    inner = np.polysub(np.polymul(shift, [1.0, -t]), [n1 * (1 - a) * n2])
+    cubic = np.polysub(np.polymul([1.0, -2 * a], inner),
+                       np.multiply(2 * r1 * (1 - a) ** 2, shift))
+    roots = np.roots(cubic)
+    assert np.abs(roots.imag).max() < 1e-9
+    return sorted(vals + roots.real.tolist(), reverse=True)
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (generate("complete", [3]), generate("complete", [2])),
+    (generate("cycle", [4]), generate("cycle", [5])),
+    (generate("petersen"), generate("cycle", [5]))])
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+def test_single_power_variant_matches_the_cubic(g1, g2, a):
+    variant = _cvjoin_closed_variant_single_power(g1, g2, a)
+    reference = _single_power_cubic_reference(g1, g2, a)
+    assert len(variant) == len(reference) == g1.n + g1.m + g2.n
+    assert np.max(np.abs(np.subtract(variant, reference))) < 1e-9
+
+
+def test_single_power_variant_takes_any_second_graph():
+    pet = generate("petersen")
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
+    variant = _cvjoin_closed_variant_single_power(pet, paw, 0.5)
+    assert len(variant) == pet.n + pet.m + paw.n
+    assert variant == sorted(variant, reverse=True)
