@@ -78,6 +78,9 @@ def build_parser():
         description="Spectra of central graphs and central vertex joins for "
                     "the matrix family alpha*D + (1-alpha)*A.")
     sub = p.add_subparsers(dest="command", required=True)
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float)
+    alpha.add_argument("--exact", help="alpha as an exact fraction P/Q")
 
     g = sub.add_parser("generate", help="emit a catalog graph as an edge list")
     g.add_argument("family", choices=FAMILIES)
@@ -86,10 +89,8 @@ def build_parser():
 
     for name, helptext in [("spectrum", "eigensolver spectrum of A_alpha(G)"),
                            ("charpoly", "characteristic polynomial of A_alpha(G)")]:
-        s = sub.add_parser(name, help=helptext)
+        s = sub.add_parser(name, help=helptext, parents=[alpha])
         s.add_argument("graph")
-        s.add_argument("--alpha", type=float)
-        s.add_argument("--exact", help="alpha as an exact fraction P/Q")
         s.add_argument("--json", action="store_true")
 
     c = sub.add_parser("central", help="emit the central graph C(G)")
@@ -102,17 +103,14 @@ def build_parser():
     j.add_argument("--out")
 
     cs = sub.add_parser("closed-spectrum",
-                        help="closed-form spectrum with factor provenance")
+                        help="closed-form spectrum with factor provenance",
+                        parents=[alpha])
     cs.add_argument("mode", choices=["central", "cvjoin"])
     cs.add_argument("graphs", nargs="+")
-    cs.add_argument("--alpha", type=float)
-    cs.add_argument("--exact", help="alpha as an exact fraction P/Q")
     cs.add_argument("--json", action="store_true")
 
-    e = sub.add_parser("energy", help="A_alpha energy of G")
+    e = sub.add_parser("energy", help="A_alpha energy of G", parents=[alpha])
     e.add_argument("graph")
-    e.add_argument("--alpha", type=float)
-    e.add_argument("--exact", help="alpha as an exact fraction P/Q")
 
     v = sub.add_parser("verify", help="run the formula-vs-eigensolver sweep")
     v.add_argument("--catalog", help="catalog file; default is the built-in catalog")
@@ -236,18 +234,19 @@ def _cmd_verify(args):
     report = verify_mod.sweep(catalog, _grid_from(args.grid))
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK if report.all_passed else EXIT_VERIFICATION
+    return _report(report, args.json)
 
 
 def _cmd_cospectral(args):
     report = verify_mod.cospectral_cvjoin_family(
         _load_graph(args.graph1), _load_graph(args.graph2),
         _load_graph(args.graphh), _grid_from(args.grid))
-    if args.json:
+    return _report(report, args.json)
+
+
+def _report(report, as_json):
+    """Print a verify or cospectral report and return its exit code."""
+    if as_json:
         print(json.dumps(report.to_json()))
     else:
         sys.stdout.write(report.to_text())

@@ -309,11 +309,6 @@ def _require_regular_base(G, what):
     return r
 
 
-def _adjacency_spectrum(G):
-    """Adjacency eigenvalues of G, descending; the Perron root r comes first."""
-    return _eigh_checked(adjacency_matrix(G))[0][::-1]
-
-
 def _charpoly_join(G1, r1, a, mu, v, c, label):
     """The factorization of the module docstring for G1 joined with a second
     graph given only by its split: mu the n2 - k eigenvalues of A_alpha(G2)
@@ -322,7 +317,8 @@ def _charpoly_join(G1, r1, a, mu, v, c, label):
     n1, m1 = G1.n, G1.m
     n2 = len(mu) + len(v)
     shifted, no_poles = a * n1 + mu, np.empty((len(mu), 0))
-    l = _adjacency_spectrum(G1)[1:]
+    # adjacency eigenvalues of G1 but the Perron root r1, descending
+    l = _eigh_checked(adjacency_matrix(G1))[0][-2::-1]
     t = a * (n1 + n2) - (1 - a) * l - 1
     # l >= -r1 for an r1-regular graph; a rounding undershoot would give nan
     base_weights = (1 - a) ** 2 * np.maximum(l + r1, 0.0)

@@ -83,9 +83,6 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def neighbors(self, v):
-        return sorted(j if i == v else i for i, j in self.edges if v in (i, j))
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"

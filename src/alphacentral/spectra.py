@@ -7,9 +7,17 @@ every oracle comparison; exact mode (Fraction entries, alpha passed as a
 Fraction) backs cospectrality certificates where float equality would prove
 nothing. Functions dispatch on the dtype of their inputs.
 
+Every eigensolve goes through one gate, _eigh_checked: the input must be
+square and exactly symmetric (a nan entry is refused by position), is
+converted to float64 entry by entry with float(), and its eigenpairs must
+pass the TOL_EIG residual check. The empty matrix has the empty spectrum.
+Polynomial evaluates, multiplies and serializes; it has no other algebra.
+
 Numerical contracts (absolute unless noted):
 
-- TOL_EIG:      relative eigensolver residual, ||M V - V L|| <= TOL_EIG*n*||M||
+- TOL_EIG:      relative eigensolver residual, ||M V - V L||_F <= TOL_EIG*n*||M||_2;
+                R = M V - V L is divided by ||M|| before squaring when
+                its plain sum of squares fails
 - TOL_NUM:      value comparisons against closed forms
 - CLUSTER_TOL:  width of a (value, multiplicity) group: a value joins the
                 current group while it lies within CLUSTER_TOL of the
@@ -30,7 +38,7 @@ import numpy as np
 
 from . import exactalg
 from .errors import InternalCheckError, ParameterError, PreconditionError, SingularityError
-from .graphs import adjacency_matrix, is_connected, regularity
+from .graphs import _edge_arrays, adjacency_matrix, is_connected, regularity
 
 TOL_EIG = 1e-12
 TOL_NUM = 1e-9
@@ -115,29 +123,11 @@ class Polynomial:
         return acc
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial.of(out)
-        return Polynomial.of([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return Polynomial.of(a)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def as_float(self):
-        return Polynomial.of([float(c) for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Polynomial.of(out)
 
     def to_json(self):
         cs = [str(c) if isinstance(c, Fraction) else float(c) for c in self.coeffs]
@@ -174,9 +164,8 @@ def a_alpha_matrix(G, alpha):
     if isinstance(alpha, Fraction):
         # one Fraction per distinct value, shared by every entry that holds it
         M = np.full((G.n, G.n), Fraction(0), dtype=object)
-        if G.edges:
-            i, j = np.array(list(G.edges)).T
-            M[i, j] = M[j, i] = 1 - alpha
+        i, j = _edge_arrays(G)
+        M[i, j] = M[j, i] = 1 - alpha
         diag = {d: alpha * d for d in set(deg)}
         M[np.arange(G.n), np.arange(G.n)] = [diag[d] for d in deg]
         return M
@@ -189,22 +178,6 @@ def _check_alpha(alpha, allow_one):
     if not (0 <= alpha and hi_ok):
         span = "[0, 1]" if allow_one else "[0, 1)"
         raise ParameterError(f"alpha must lie in {span}, got {alpha}")
-
-
-def _require_symmetric(M):
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {M.shape}")
-    if not (M == M.T).all():
-        raise ParameterError("matrix is not exactly symmetric")
-    return M
-
-
-def _as_float_matrix(M):
-    M = np.asarray(M)
-    if M.dtype == object:
-        return np.array([[float(x) for x in row] for row in M])
-    return M.astype(float, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +197,31 @@ def eigenvalues_sym(M):
 def _eigh_checked(M):
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric
     matrix, with the TOL_EIG residual contract checked."""
-    Mf = _require_symmetric(M)
-    if Mf.dtype != np.float64:
-        Mf = _as_float_matrix(Mf)
-    n = Mf.shape[0]
-    w, V = np.linalg.eigh(Mf)
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    R = Mf @ V - V * w
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ParameterError(f"expected a square matrix, got shape {M.shape}")
+    if not (M == M.T).all():
+        nan = np.argwhere(M != M)
+        if nan.size:
+            raise ParameterError(f"matrix has a nan entry at {tuple(nan[0].tolist())}")
+        raise ParameterError("matrix is not exactly symmetric")
+    # float() of each entry, Fractions included
+    M = M.astype(float, copy=False)
+    n = M.shape[0]
+    w, V = np.linalg.eigh(M)
+    try:
+        scale = max(abs(w[0]), abs(w[-1]), 1e-300)
+    except IndexError:  # the empty matrix
+        return w, V
+    R = M @ V - V * w
     resid = math.sqrt(np.vdot(R, R))
     # a nan residual fails, and so does an eigenvalue that overflowed to inf
     if not resid <= TOL_EIG * n * scale < math.inf:
-        raise InternalCheckError(
-            f"eigensolver residual {resid:.3e} exceeds {TOL_EIG:.0e} * n * ||M||")
+        # vdot squares R's entries, which overflows above about 1e154
+        resid = scale * np.linalg.norm(R / scale)
+        if not resid <= TOL_EIG * n * scale < math.inf:
+            raise InternalCheckError(
+                f"eigensolver residual {resid:.3e} exceeds {TOL_EIG:.0e} * n * ||M||")
     return w, V
 
 
@@ -336,13 +322,10 @@ def hoffman_poly(G):
         raise PreconditionError("Hoffman polynomial needs a connected graph")
     A = adjacency_matrix(G)
     groups = eigenvalues_sym(A).groups
-    rest = [v for v, _ in groups[1:]]
-    poly = Polynomial.of([1.0])
-    denom = 1.0
-    for li in rest:
-        poly = poly * Polynomial.of([-li, 1.0])
-        denom *= (r - li)
-    poly = (G.n / denom) * poly
+    rest = np.array([v for v, _ in groups[1:]])
+    # np.poly is descending, and the scalar 1.0 for K1's empty rest
+    coeffs = G.n / np.prod(r - rest) * np.poly(rest)
+    poly = Polynomial.of(np.atleast_1d(coeffs)[::-1].tolist())
     PA = _poly_on_matrix(poly, A)
     dev = np.max(np.abs(PA - np.ones((G.n, G.n))))
     if dev > TOL_HOFFMAN:

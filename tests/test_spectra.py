@@ -136,6 +136,33 @@ def test_eigensolver_takes_integer_and_exact_input():
         eigenvalues_sym(np.array([[Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(0)]]))
 
 
+def test_exact_matrix_spectrum_is_that_of_its_entrywise_float_conversion():
+    m = a_alpha_matrix(generate("petersen"), Fraction(1, 3))
+    floats = np.array([[float(x) for x in row] for row in m])
+    assert eigenvalues_sym(m) == eigenvalues_sym(floats)
+
+
+def test_empty_matrix_has_the_empty_spectrum():
+    assert eigenvalues_sym(np.zeros((0, 0))) == Spectrum(values=())
+
+
+def test_residual_check_does_not_overflow_on_huge_entries():
+    # the squared residual of a matrix with entries near 1e300 overflows,
+    # but the residual itself is tiny relative to ||M||
+    values = eigenvalues_sym(np.array([[1e300, 0.0], [0.0, 1.0]])).values
+    assert values == pytest.approx((1e300, 1.0), rel=1e-12)
+    petersen = adjacency_matrix(generate("petersen"))
+    big = eigenvalues_sym(1e200 * petersen).values
+    assert np.allclose(np.array(big) / 1e200, eigenvalues_sym(petersen).values, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, where", [([[np.nan, 1.0], [1.0, 0.0]], r"\(0, 0\)"),
+                                      ([[0.0, 2.0], [np.nan, 0.0]], r"\(1, 0\)")])
+def test_nan_entry_is_named(m, where):
+    with pytest.raises(ParameterError, match="nan entry at " + where):
+        eigenvalues_sym(np.array(m))
+
+
 def test_spectrum_json_shape():
     s = Spectrum.from_values([2.0, 1.0, 1.0])
     j = s.to_json()
