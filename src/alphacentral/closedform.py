@@ -75,7 +75,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .graphs import adjacency_matrix, equitable_partition, generate
+from .graphs import _colours, adjacency_matrix, generate
 from .spectra import (Spectrum, _check_alpha, _coronal_spectral, _eigh_checked,
                       a_alpha_matrix)
 
@@ -276,11 +276,8 @@ class FactoredCharPoly:
 
 
 def _spectrum(fac):
-    vals = fac.roots()
-    if len(vals) != fac.order:
-        raise InternalCheckError(
-            f"assembled {len(vals)} eigenvalues for a matrix of order {fac.order}")
-    return Spectrum.from_values(vals)
+    """The spectrum of fac's roots; FactoredCharPoly has checked their count."""
+    return Spectrum.from_values(fac.roots())
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +365,19 @@ def spectrum_central_regular(G, alpha):
 def _g2_split(g2, a):
     """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
-    g2 is any Graph, or a (p, q) tuple for K_{p,q}. The cells of G2 are its
-    coarsest equitable partition, or the parts {P, Q} for a tuple (so the
-    coronal factor of K_{p,q} is a quartic even when p = q). One checked
-    eigendecomposition of A_alpha(G2) + sigma P splits, by index, into the
-    n2 - k eigenvalues orthogonal to the cell-constant vectors and the k
-    cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
+    g2 is any Graph, or a (p, q) tuple for K_{p,q}. Each vertex of G2 is
+    coloured by its cell: the coarsest equitable partition's colours from
+    graphs._colours, or the parts {P, Q} for a tuple (so the coronal factor
+    of K_{p,q} is a quartic even when p = q). One checked eigendecomposition
+    of A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
+    orthogonal to the cell-constant vectors and the k cell-constant pairs
+    (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
     """
     if isinstance(g2, tuple):
         p, q = g2
         G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
     else:
-        G2, colour = g2, [0] * g2.n
-        for i, cell in enumerate(equitable_partition(g2)):
-            for u in cell:
-                colour[u] = i
+        G2, colour = g2, _colours(g2)
     n2, k = G2.n, max(colour) + 1
 
     # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at

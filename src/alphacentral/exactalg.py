@@ -2,15 +2,18 @@
 
 Two independent routes are kept deliberately separate:
 
-- charpoly_exact: Hessenberg reduction and the Hessenberg recurrence, O(n^3)
-  per prime, run on a (K, n, n) int64 stack of K word-size primes at once
-  and reconstructed by CRT. The prime budget is Hadamard's bound on the
-  principal minors: with row 2-norms |r_i|, every coefficient is at most
-  B = prod_i (1 + ceil(|r_i|)) in absolute value (see charpoly_int), B is
-  computed in integer arithmetic, and the engine takes the fewest primes
-  whose product exceeds 2B, so the result is exact, not heuristic. This is
-  the standard multimodular coefficient bound (Dumas, Pernet and Wan,
-  "Efficient computation of the characteristic polynomial", ISSAC 2005).
+- charpoly_int, the one exact engine: Hessenberg reduction and the
+  Hessenberg recurrence, O(n^3) per prime, run on a (K, n, n) int64 stack
+  of K word-size primes at once and reconstructed by CRT (Garner). The
+  prime budget is Hadamard's bound on the principal minors: with row
+  2-norms |r_i|, every coefficient is at most B = prod_i (1 + ceil(|r_i|))
+  in absolute value, B is computed in integer arithmetic, and primes are
+  taken downward from the order's int64 limit until their product exceeds
+  2B, so the result is exact, not heuristic. This is the standard
+  multimodular coefficient bound (Dumas, Pernet and Wan, "Efficient
+  computation of the characteristic polynomial", ISSAC 2005).
+  charpoly_exact scales a rational matrix to integers and enters the
+  engine through charpoly_int, so every exact charpoly runs there.
 - det_exact: plain fraction-preserving Gaussian elimination. Slower, used
   as the cross-check oracle for the charpoly route.
 """
@@ -48,20 +51,13 @@ def _is_prime(n):
     return True
 
 
-@functools.lru_cache(maxsize=32)
-def _prime_table(limit, count):
-    """The `count` largest primes below `limit` and Garner's CRT constants:
-    radices[k] = primes[0] * ... * primes[k-1] and its inverse mod primes[k]."""
-    primes, p = [], limit - 1
-    while len(primes) < count:
-        if p < 3:
-            raise ValueError("prime supply exhausted")
-        if _is_prime(p):
-            primes.append(p)
-        p -= 2 if p % 2 else 1
-    radices = [math.prod(primes[:k]) for k in range(count + 1)]
-    inverses = [pow(r, -1, p) for r, p in zip(radices, primes)]
-    return tuple(primes), tuple(zip(primes, radices, inverses)), radices[-1]
+@functools.cache
+def _prime_below(p):
+    """The largest prime below p."""
+    for q in range(p - 1, 1, -1):
+        if _is_prime(q):
+            return q
+    raise ValueError("prime supply exhausted")
 
 
 def _crt_symmetric(residues, garner, prod):
@@ -133,18 +129,13 @@ def charpoly_int(M):
         rows = [[operator.index(x) for x in row] for row in M]
     except TypeError as exc:
         raise ParameterError(f"charpoly_int needs integer entries: {exc}") from None
-    return _charpoly_rows(rows)
-
-
-def _charpoly_rows(rows):
-    """charpoly_int on a list of lists of Python ints."""
     n = len(rows)
     if n == 0:
         return [1]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     bound, A = _row_norm_bound(rows)
-    primes, garner, prod = _primes_above(n, bound)
+    primes, prod = _primes_above(n, bound)
     if prod <= 2 * bound:
         raise InternalCheckError(
             f"prime product of {prod.bit_length()} bits does not exceed twice the "
@@ -156,6 +147,11 @@ def _charpoly_rows(rows):
         H = np.array([[[x % q for x in r] for r in rows] for q in primes], dtype=np.int64)
     _hessenberg_mod(H, p)
     coeffs_mod = _hessenberg_charpoly_mod(H, p).T.tolist()
+    # Garner's constants: the product of the earlier primes and its inverse
+    garner, radix = [], 1
+    for q in primes:
+        garner.append((q, radix, pow(radix, -1, q)))
+        radix *= q
     return [_crt_symmetric(c, garner, prod) for c in coeffs_mod]
 
 
@@ -180,20 +176,16 @@ def _row_norm_bound(rows):
 
 
 def _primes_above(n, bound):
-    """The fewest of the engine's primes for order n whose product exceeds
-    2 * bound, as (primes, Garner constants, product)."""
+    """The engine's primes for order n, taken downward from its limit until
+    their product exceeds 2 * bound, as (primes, product)."""
     # n * (p-1)^2 < 2^63 keeps the engine's int64 sums exact
-    pmax = min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30)
-    # the table's primes lie above pmax / 2 > 2^(b - 2), so `count` of them
-    # multiply to more than 2^(bound.bit_length() + 1) > 2 * bound
-    b = (pmax - 1).bit_length()
-    count = -(-(bound.bit_length() + 1) // (b - 2))
-    primes, garner, _ = _prime_table(pmax, count)
-    k, prod = 1, primes[0]
-    while prod <= 2 * bound and k < count:
-        prod *= primes[k]
-        k += 1
-    return primes[:k], garner[:k], prod
+    p = min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30)
+    primes, prod = [], 1
+    while prod <= 2 * bound:
+        p = _prime_below(p)
+        primes.append(p)
+        prod *= p
+    return primes, prod
 
 
 def charpoly_exact(M):
@@ -204,8 +196,8 @@ def charpoly_exact(M):
     rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in M]
     c = math.lcm(*{x.denominator for row in rows for x in row})
-    ints = _charpoly_rows([[x.numerator * (c // x.denominator) for x in row]
-                           for row in rows])
+    ints = charpoly_int([[x.numerator * (c // x.denominator) for x in row]
+                         for row in rows])
     return [Fraction(ck, c ** (len(rows) - k)) for k, ck in enumerate(ints)]
 
 

@@ -247,13 +247,19 @@ def regularity(G):
     return r if all(d == r for d in deg) else None
 
 
-def is_connected(G):
-    if G.n == 1:
-        return True
+def _neighbours(G):
+    """Adjacency lists of G."""
     adj = [[] for _ in range(G.n)]
     for i, j in G.edges:
         adj[i].append(j)
         adj[j].append(i)
+    return adj
+
+
+def is_connected(G):
+    if G.n == 1:
+        return True
+    adj = _neighbours(G)
     seen = {0}
     queue = deque([0])
     while queue:
@@ -268,18 +274,26 @@ def is_connected(G):
 def equitable_partition(G):
     """Coarsest equitable partition of G (every vertex of cell X has the
     same number of neighbours in cell Y), as ascending vertex lists ordered
-    by first vertex. Colour refinement from the degrees recolours each
-    vertex by its colour and its neighbours' colour multiset until a round
-    splits no cell; a regular graph is one cell.
+    by first vertex; cell c holds the vertices of _colours colour c.
+    """
+    colour = _colours(G)
+    cells = [[] for _ in range(max(colour) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    return cells
+
+
+def _colours(G):
+    """Each vertex's cell in the coarsest equitable partition of G, cells
+    numbered in order of their first vertex. Colour refinement from the
+    degrees recolours each vertex by its colour and its neighbours' colour
+    multiset until a round splits no cell; a regular graph is one cell.
     """
     ids = {}
     colour = [ids.setdefault(d, len(ids)) for d in G.degree_sequence]
     count = len(ids)
     if count > 1:
-        adj = [[] for _ in range(G.n)]
-        for i, j in G.edges:
-            adj[i].append(j)
-            adj[j].append(i)
+        adj = _neighbours(G)
         while True:
             ids = {}
             new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
@@ -287,10 +301,7 @@ def equitable_partition(G):
             if len(ids) == count:
                 break
             colour, count = new, len(ids)
-    cells = [[] for _ in range(count)]
-    for v, c in enumerate(colour):
-        cells[c].append(v)
-    return cells
+    return colour
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ square and exactly symmetric (a nan entry is refused by position), is
 converted to float64 entry by entry with float(), and its eigenpairs must
 pass the TOL_EIG residual check. The empty matrix has the empty spectrum.
 Polynomial evaluates, multiplies and serializes; it has no other algebra.
+A float polynomial given by its roots (char_poly, hoffman_poly) is
+multiplied out in one place, _from_roots, where no roots give the constant.
+Every exact charpoly runs in exactalg's engine, entered through
+exactalg.charpoly_int.
 
 Numerical contracts (absolute unless noted):
 
@@ -157,12 +161,12 @@ def a_alpha_matrix(G, alpha):
 
     Row i sums to degree d_i for every alpha; the trace is 2*m*alpha.
     A Fraction alpha selects exact mode and yields an object array of
-    Fractions; a float yields float64.
+    Fractions; a float yields float64, with D the row sums of A.
     """
     _check_alpha(alpha, allow_one=True)
-    deg = G.degree_sequence
     if isinstance(alpha, Fraction):
         # one Fraction per distinct value, shared by every entry that holds it
+        deg = G.degree_sequence
         M = np.full((G.n, G.n), Fraction(0), dtype=object)
         i, j = _edge_arrays(G)
         M[i, j] = M[j, i] = 1 - alpha
@@ -170,7 +174,7 @@ def a_alpha_matrix(G, alpha):
         M[np.arange(G.n), np.arange(G.n)] = [diag[d] for d in deg]
         return M
     A = adjacency_matrix(G)
-    return alpha * np.diag(np.asarray(deg, dtype=float)) + (1.0 - alpha) * A
+    return alpha * np.diag(A.sum(axis=1)) + (1.0 - alpha) * A
 
 
 def _check_alpha(alpha, allow_one):
@@ -228,19 +232,25 @@ def _eigh_checked(M):
 def char_poly(M):
     """Characteristic polynomial det(lambda*I - M), monic, ascending coeffs.
 
-    Exact mode (object/Fraction entries) runs the multi-prime Hessenberg
-    engine, O(n^3) per prime with CRT reconstruction, and returns Fraction
-    coefficients. Float mode multiplies out the eigenvalues of the
-    (symmetric) input.
+    Exact mode (integer, object or Fraction entries) runs the multi-prime
+    Hessenberg engine, O(n^3) per prime with CRT reconstruction, through
+    exactalg.charpoly_exact and returns Fraction coefficients. Float mode
+    multiplies out the eigenvalues of the (symmetric) input; the empty
+    matrix gives the polynomial 1.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {M.shape}")
     if M.dtype == object or np.issubdtype(M.dtype, np.integer):
         return Polynomial.of(exactalg.charpoly_exact(M.tolist()))
-    vals = eigenvalues_sym(M).values
-    coeffs = np.poly(np.array(vals))  # descending, monic
-    return Polynomial.of(list(coeffs[::-1]))
+    return _from_roots(eigenvalues_sym(M).values)
+
+
+def _from_roots(roots, scale=1.0):
+    """scale * prod(x - r) over the roots as a float Polynomial; the
+    constant scale when there are none."""
+    coeffs = scale * np.poly(np.asarray(roots, dtype=float))  # descending
+    return Polynomial.of(np.atleast_1d(coeffs)[::-1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +333,7 @@ def hoffman_poly(G):
     A = adjacency_matrix(G)
     groups = eigenvalues_sym(A).groups
     rest = np.array([v for v, _ in groups[1:]])
-    # np.poly is descending, and the scalar 1.0 for K1's empty rest
-    coeffs = G.n / np.prod(r - rest) * np.poly(rest)
-    poly = Polynomial.of(np.atleast_1d(coeffs)[::-1].tolist())
+    poly = _from_roots(rest, G.n / np.prod(r - rest))
     PA = _poly_on_matrix(poly, A)
     dev = np.max(np.abs(PA - np.ones((G.n, G.n))))
     if dev > TOL_HOFFMAN:

@@ -184,19 +184,20 @@ def default_alpha_grid():
 
 
 def _closed_and_built(entry):
-    """(label, source, closed, build) for a catalog entry: closed(alpha) is
-    the closed-form spectrum and build() the explicitly built graph."""
+    """(label, source, closed, built) for a catalog entry: closed(alpha) is
+    the closed-form spectrum and built the explicitly built graph, which
+    serves every alpha."""
     if isinstance(entry, Graph):
         return (f"central({_name(entry)})", "central-factorization",
-                lambda a: spectrum_central_regular(entry, a), lambda: central_graph(entry))
+                lambda a: spectrum_central_regular(entry, a), central_graph(entry))
     g1, second = entry
     if isinstance(second, tuple):
         return (f"{_name(g1)} vjoin K{second[0]},{second[1]}", "cvjoin-kpq-factorization",
                 lambda a: spectrum_cvjoin_kpq(g1, *second, a),
-                lambda: central_vertex_join(g1, generate("complete_bipartite", list(second))))
+                central_vertex_join(g1, generate("complete_bipartite", list(second))))
     return (f"{_name(g1)} vjoin {_name(second)}", "cvjoin-factorization",
             lambda a: spectrum_cvjoin_regular(g1, second, a),
-            lambda: central_vertex_join(g1, second))
+            central_vertex_join(g1, second))
 
 
 def sweep(catalog, alpha_grid, include_formula_notes=True):
@@ -209,7 +210,7 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
     """
     report = VerificationReport()
     for entry in catalog:
-        label, source, closed_at, build = _closed_and_built(entry)
+        label, source, closed_at, built = _closed_and_built(entry)
         for alpha in alpha_grid:
             a = float(alpha)
             try:
@@ -218,7 +219,7 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
                 report.cases.append(SweepCase(label, alpha, "none", "skip",
                                               note=str(exc)))
                 continue
-            oracle = _oracle(build(), a)
+            oracle = _oracle(built, a)
             if closed.n != oracle.n:
                 report.cases.append(SweepCase(
                     label, alpha, source, "fail",
@@ -398,9 +399,9 @@ def formula_discrepancy_notes():
                for g1, g2 in ((k3, k2), (generate("cycle", [4]), generate("cycle", [5])))]
     worst = {}  # source -> (worst closed-form gap, worst variant gap)
     for entry, alphas, variant in ledger:
-        _, source, closed_at, build = _closed_and_built(entry)
+        _, source, closed_at, built = _closed_and_built(entry)
         for a in alphas:
-            oracle = _oracle(build(), a).values
+            oracle = _oracle(built, a).values
             gaps = (_gap(closed_at(a).values, oracle), _gap(variant(a), oracle))
             worst[source] = tuple(map(max, worst.get(source, gaps), gaps))
     worst_factored, worst_variant = worst["central-factorization"]

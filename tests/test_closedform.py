@@ -292,9 +292,13 @@ def test_cvjoin_kpq_coronal_contributes_four_roots():
 
 
 def test_cvjoin_petersen_1_1_no_part_factors():
-    # q-1 = p-1 = 0: the shifted part eigenvalues are absent
+    # n2 - k = 2 - 2 = 0: no A_alpha(K_{1,1}) eigenvalue lies off the two
+    # parts, so there is no g2-eigenvalue factor and the coronal arrowhead
+    # has the corner, the pole 2a and one pole per part
     fac = charpoly_cvjoin(generate("petersen"), (1, 1), 0.5)
-    assert not any(f.label.startswith("bipartite-part") for f in fac.factors)
+    assert not any(f.label.startswith("g2-eigenvalue") for f in fac.factors)
+    coronal, = (f for f in fac.factors if f.label == "coronal")
+    assert coronal.degree == 4 and coronal.mult == 1
 
 
 def test_cvjoin_kpq_part_multiplicity():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from alphacentral import (InternalCheckError, ParameterError, Polynomial,
                           a_alpha_matrix, central_vertex_join, char_poly, exactalg,
                           generate)
-from alphacentral.exactalg import (_is_prime, _prime_table, _primes_above,
+from alphacentral.exactalg import (_is_prime, _prime_below, _primes_above,
                                    _row_norm_bound, charpoly_exact, charpoly_int,
                                    det_exact)
 
@@ -95,7 +95,7 @@ def test_charpoly_int_pivot_vanishing_mod_one_prime():
     # it zeroes the first subdiagonal entry modulo that prime alone, so only
     # that prime swaps rows and columns at the first step
     n = 5
-    q = _prime_table(min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30), 1)[0][0]
+    q = _prime_below(min(math.isqrt((2 ** 63 - 1) // n), 2 ** 30))
     rng = random.Random(7)
     m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
     m[1][0], m[2][0] = q, 3
@@ -169,7 +169,7 @@ def test_charpoly_int_takes_numpy_integers_and_bools():
 
 
 def _chosen_primes(m):
-    primes, _, prod = _primes_above(len(m), _row_norm_bound(m)[0])
+    primes, prod = _primes_above(len(m), _row_norm_bound(m)[0])
     assert prod == math.prod(primes)
     return primes, prod
 
@@ -240,9 +240,21 @@ def test_order_67_join_needs_at_most_ten_primes(monkeypatch):
     assert len(used) == 1 and used[0] <= 10
 
 
+def test_rational_charpoly_enters_the_engine_through_charpoly_int(monkeypatch):
+    calls = []
+    engine = exactalg.charpoly_int
+
+    def spy(M):
+        calls.append(len(M))
+        return engine(M)
+
+    monkeypatch.setattr(exactalg, "charpoly_int", spy)
+    char_poly(a_alpha_matrix(generate("petersen"), Fraction(1, 3)))
+    assert calls == [10]
+
+
 def test_prime_set_below_twice_the_bound_is_refused(monkeypatch):
-    primes, garner, _ = _prime_table(2 ** 30, 1)
-    monkeypatch.setattr(exactalg, "_primes_above",
-                        lambda n, bound: (primes, garner, primes[0]))
+    q = _prime_below(2 ** 30)
+    monkeypatch.setattr(exactalg, "_primes_above", lambda n, bound: ([q], q))
     with pytest.raises(InternalCheckError, match="coefficient bound"):
         charpoly_int([[2 ** 40, 0], [0, 2 ** 40]])

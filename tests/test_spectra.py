@@ -177,6 +177,11 @@ def test_charpoly_zero_matrix():
     assert np.allclose(p.coeffs, [0, 0, 0, 1])
 
 
+def test_charpoly_of_the_empty_float_matrix_is_one():
+    # the empty product, as the exact path gives for the empty object matrix
+    assert char_poly(np.zeros((0, 0))) == Polynomial((1.0,))
+
+
 def test_charpoly_k2():
     p = char_poly(adjacency_matrix(generate("complete", [2])))
     assert np.allclose(p.coeffs, [-1, 0, 1], atol=1e-12)

@@ -9,6 +9,7 @@ from alphacentral import (PreconditionError, SingularityError, a_alpha_matrix,
                           cospectral_cvjoin_family, eigenvalues_sym,
                           formula_discrepancy_notes, generate, spectra_equal,
                           sweep)
+from alphacentral import verify
 from alphacentral.closedform import charpoly_cvjoin
 from alphacentral.graphs import Graph, regularity
 from alphacentral.verify import (_cvjoin_closed_variant_single_power, a_cospectral_exact,
@@ -28,6 +29,21 @@ def test_sweep_small_catalog_passes():
     for case in report.cases:
         assert case.source.endswith("factorization")
         assert case.oracle_max is not None and case.oracle_min is not None
+
+
+def test_sweep_builds_each_entry_once(monkeypatch):
+    built = []
+    build = verify.central_graph
+
+    def spy(G):
+        built.append(G)
+        return build(G)
+
+    monkeypatch.setattr(verify, "central_graph", spy)
+    pet = generate("petersen")
+    report = sweep([pet], [0.0, 0.5, 1.0], include_formula_notes=False)
+    assert report.counts["pass"] == 3
+    assert built == [pet]
 
 
 def test_sweep_skips_low_degree_first_graph():
