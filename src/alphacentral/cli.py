@@ -3,7 +3,13 @@
 Graph arguments accept a file path, "-" for standard input, or a generator
 shorthand like "petersen", "complete:4", "complete_bipartite:2,3". Alpha is
 given as a decimal (--alpha 0.5) or an exact fraction (--exact 1/2), the
-latter switching exact rational arithmetic on where it matters.
+latter switching exact rational arithmetic on where it matters. Every alpha
+token (--exact and each comma-separated --grid entry) is read by one
+grammar, _alpha_token: a Fraction under --exact or when written P/Q, a
+float otherwise; a malformed token, 1/0 included, is a usage error.
+
+Each subcommand's handler is bound where its parser is built
+(set_defaults(run=...)), so main dispatches through args.run.
 
 Exit codes: 0 ok, 1 usage or unreadable input, 2 violated precondition,
 3 verification failure.
@@ -44,25 +50,26 @@ def _load_graph(spec):
                             f"generator shorthand (families: {', '.join(FAMILIES)})")
 
 
+def _alpha_token(tok, exact):
+    """A Fraction when exact is set or tok is written P/Q, else a float."""
+    try:
+        return Fraction(tok) if exact or "/" in tok else float(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(
+            f"alpha must be a decimal or a fraction P/Q, got {tok!r}") from None
+
+
 def _alpha_from(args):
     if getattr(args, "exact", None):
-        try:
-            return Fraction(args.exact)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"--exact expects a fraction like 1/2, got {args.exact!r}")
+        return _alpha_token(args.exact, exact=True)
     if args.alpha is None:
         raise ParameterError("alpha required: pass --alpha A or --exact P/Q")
     return args.alpha
 
 
 def _grid_from(text):
-    grid = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        grid.append(Fraction(tok) if "/" in tok else float(tok))
-    return grid
+    return [_alpha_token(tok, exact=False)
+            for tok in map(str.strip, text.split(",")) if tok]
 
 
 def _emit(text, out):
@@ -86,21 +93,26 @@ def build_parser():
     g.add_argument("family", choices=FAMILIES)
     g.add_argument("params", nargs="*", type=int)
     g.add_argument("--out")
+    g.set_defaults(run=_cmd_generate)
 
-    for name, helptext in [("spectrum", "eigensolver spectrum of A_alpha(G)"),
-                           ("charpoly", "characteristic polynomial of A_alpha(G)")]:
+    for name, helptext, run in [
+            ("spectrum", "eigensolver spectrum of A_alpha(G)", _cmd_spectrum),
+            ("charpoly", "characteristic polynomial of A_alpha(G)", _cmd_charpoly)]:
         s = sub.add_parser(name, help=helptext, parents=[alpha])
         s.add_argument("graph")
         s.add_argument("--json", action="store_true")
+        s.set_defaults(run=run)
 
     c = sub.add_parser("central", help="emit the central graph C(G)")
     c.add_argument("graph")
     c.add_argument("--out")
+    c.set_defaults(run=_cmd_central)
 
     j = sub.add_parser("cvjoin", help="emit the central vertex join of G1 and G2")
     j.add_argument("graph1")
     j.add_argument("graph2")
     j.add_argument("--out")
+    j.set_defaults(run=_cmd_cvjoin)
 
     cs = sub.add_parser("closed-spectrum",
                         help="closed-form spectrum with factor provenance",
@@ -108,15 +120,18 @@ def build_parser():
     cs.add_argument("mode", choices=["central", "cvjoin"])
     cs.add_argument("graphs", nargs="+")
     cs.add_argument("--json", action="store_true")
+    cs.set_defaults(run=_cmd_closed_spectrum)
 
     e = sub.add_parser("energy", help="A_alpha energy of G", parents=[alpha])
     e.add_argument("graph")
+    e.set_defaults(run=_cmd_energy)
 
     v = sub.add_parser("verify", help="run the formula-vs-eigensolver sweep")
     v.add_argument("--catalog", help="catalog file; default is the built-in catalog")
     v.add_argument("--grid", default=",".join(map(str, verify_mod.default_alpha_grid())))
     v.add_argument("--json", action="store_true")
     v.add_argument("--csv", help="also write the report table to this CSV file")
+    v.set_defaults(run=_cmd_verify)
 
     co = sub.add_parser("cospectral",
                         help="certify a cospectral join family from two seeds")
@@ -125,6 +140,7 @@ def build_parser():
     co.add_argument("graphh")
     co.add_argument("--grid", default=",".join(map(str, verify_mod.default_alpha_grid())))
     co.add_argument("--json", action="store_true")
+    co.set_defaults(run=_cmd_cospectral)
     return p
 
 
@@ -253,19 +269,6 @@ def _report(report, as_json):
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
 
-_DISPATCH = {
-    "generate": _cmd_generate,
-    "spectrum": _cmd_spectrum,
-    "charpoly": _cmd_charpoly,
-    "central": _cmd_central,
-    "cvjoin": _cmd_cvjoin,
-    "closed-spectrum": _cmd_closed_spectrum,
-    "energy": _cmd_energy,
-    "verify": _cmd_verify,
-    "cospectral": _cmd_cospectral,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -273,7 +276,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (PreconditionError, SingularityError) as exc:
         # must precede ValueError: PreconditionError subclasses it
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -75,7 +75,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .graphs import _colours, adjacency_matrix, generate
+from .graphs import _colours, adjacency_matrix, generate, regularity
 from .spectra import (Spectrum, _check_alpha, _coronal_spectral, _eigh_checked,
                       a_alpha_matrix)
 
@@ -291,9 +291,9 @@ def _require_regular_base(G, what):
     to 1 of eigenvalue l to -1 - l times itself, so every other eigenvalue
     (extra copies of r included) enters a base-eigenvalue factor.
     """
-    deg = G.degree_sequence
-    r = deg[0]
-    if min(deg) != max(deg):
+    r = regularity(G)
+    if r is None:
+        deg = G.degree_sequence
         raise PreconditionError(
             f"{what} needs a regular base graph; this one has degree spread "
             f"{min(deg)}..{max(deg)}. "

@@ -257,8 +257,6 @@ def _neighbours(G):
 
 
 def is_connected(G):
-    if G.n == 1:
-        return True
     adj = _neighbours(G)
     seen = {0}
     queue = deque([0])
@@ -312,58 +310,49 @@ def _colours(G):
 
 def triangles_per_edge(G):
     """Sorted multiset of common-neighbor counts over edges."""
-    A = adjacency_matrix(G)
-    return _triangles_per_edge(A @ A, *_edge_arrays(G))
+    return _invariant(G, "triangles per edge")
 
 
 def triangle_counts_per_vertex(G):
-    A = adjacency_matrix(G)
-    return _triangles_per_vertex(A, A @ A)
+    return _invariant(G, "triangles per vertex")
 
 
 def four_clique_count(G):
     """Number of 4-cliques, counted over common-neighbor pairs per edge."""
-    return _four_cliques(adjacency_matrix(G), *_edge_arrays(G))
-
-
-def _edge_arrays(G):
-    """Endpoint index arrays (I, J) over the edges of G."""
-    return np.array(list(G.edges), dtype=np.intp).reshape(-1, 2).T
+    return _invariant(G, "4-clique count")
 
 
 def _as_ints(values):
     return np.rint(values).astype(np.int64)
 
 
-def _triangles_per_edge(A2, I, J):
-    return sorted(_as_ints(A2[I, J]).tolist())
-
-
-def _triangles_per_vertex(A, A2):
-    # (A^3)_vv = sum_u (A^2)_vu A_uv counts each triangle at v twice
-    return sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
-
-
-def _four_cliques(A, I, J):
-    # row e of C marks the common neighbours of edge e; C A C^T summed over
-    # the diagonal counts adjacent ordered pairs of them, so each K4 is seen
-    # twice from each of its 6 edges
-    C = A[I] * A[J]
-    return int(_as_ints(((C @ A) * C).sum())) // 12
-
-
 def _invariants(G):
     """(name, value) for each cheap invariant, in order of increasing cost;
-    the adjacency matrix is built once, when first needed."""
+    the adjacency matrix A and A^2 are built once, when first needed. This
+    is the one place each invariant is computed; the public
+    triangle_counts_per_vertex, triangles_per_edge and four_clique_count
+    read their value from here.
+
+    (A^3)_vv = sum_u (A^2)_vu A_uv counts each triangle at v twice, and
+    (A^2)_ij over an edge ij counts the triangles on it. Row e of C marks
+    the common neighbours of edge e; C A C^T summed over the diagonal counts
+    adjacent ordered pairs of them, so each K4 is seen twice from each of
+    its 6 edges.
+    """
     yield "vertex count", G.n
     yield "edge count", G.m
     yield "degree multiset", sorted(G.degree_sequence)
     A = adjacency_matrix(G)
     A2 = A @ A
-    I, J = _edge_arrays(G)
-    yield "triangles per vertex", _triangles_per_vertex(A, A2)
-    yield "triangles per edge", _triangles_per_edge(A2, I, J)
-    yield "4-clique count", _four_cliques(A, I, J)
+    yield "triangles per vertex", sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
+    I, J = np.nonzero(np.triu(A))
+    yield "triangles per edge", sorted(_as_ints(A2[I, J]).tolist())
+    C = A[I] * A[J]
+    yield "4-clique count", int(_as_ints(((C @ A) * C).sum())) // 12
+
+
+def _invariant(G, name):
+    return next(value for key, value in _invariants(G) if key == name)
 
 
 def nonisomorphism_witness(G1, G2):

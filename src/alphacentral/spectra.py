@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exactalg
 from .errors import InternalCheckError, ParameterError, PreconditionError, SingularityError
-from .graphs import _edge_arrays, adjacency_matrix, is_connected, regularity
+from .graphs import adjacency_matrix, is_connected, regularity
 
 TOL_EIG = 1e-12
 TOL_NUM = 1e-9
@@ -160,21 +160,20 @@ def a_alpha_matrix(G, alpha):
     """alpha*D(G) + (1-alpha)*A(G).
 
     Row i sums to degree d_i for every alpha; the trace is 2*m*alpha.
-    A Fraction alpha selects exact mode and yields an object array of
-    Fractions; a float yields float64, with D the row sums of A.
+    Both modes start from A = adjacency_matrix(G) and take D from its row
+    sums. A Fraction alpha selects exact mode and yields an object array of
+    Fractions; a float yields float64.
     """
     _check_alpha(alpha, allow_one=True)
+    A = adjacency_matrix(G)
+    deg = A.sum(axis=1)
     if isinstance(alpha, Fraction):
         # one Fraction per distinct value, shared by every entry that holds it
-        deg = G.degree_sequence
-        M = np.full((G.n, G.n), Fraction(0), dtype=object)
-        i, j = _edge_arrays(G)
-        M[i, j] = M[j, i] = 1 - alpha
-        diag = {d: alpha * d for d in set(deg)}
-        M[np.arange(G.n), np.arange(G.n)] = [diag[d] for d in deg]
+        M = np.where(A == 1, 1 - alpha, Fraction(0))
+        diag = {d: alpha * int(d) for d in set(deg.tolist())}
+        M[np.diag_indices(G.n)] = [diag[d] for d in deg.tolist()]
         return M
-    A = adjacency_matrix(G)
-    return alpha * np.diag(A.sum(axis=1)) + (1.0 - alpha) * A
+    return alpha * np.diag(deg) + (1.0 - alpha) * A
 
 
 def _check_alpha(alpha, allow_one):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
@@ -47,8 +47,16 @@ class SweepCase:
     note: str = ""
 
 
+# to_csv's format spec for the SweepCase fields that need one
+_CSV_FORMATS = {"deviation": ".3e", "oracle_min": ".12g", "oracle_max": ".12g"}
+
+
 @dataclass
 class VerificationReport:
+    """SweepCases plus notes. JSON and CSV both carry every SweepCase field
+    in declaration order; alpha is str(alpha) in both, and a None field is
+    null in JSON and an empty CSV cell."""
+
     cases: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
@@ -69,27 +77,19 @@ class VerificationReport:
         return self.counts["fail"] == 0
 
     def to_json(self):
-        return {
-            "cases": [{"label": c.label, "alpha": str(c.alpha), "source": c.source,
-                       "status": c.status, "deviation": c.deviation,
-                       "oracle_min": c.oracle_min, "oracle_max": c.oracle_max,
-                       "note": c.note} for c in self.cases],
-            "summary": {"counts": self.counts,
-                        "worst_deviation": self.worst_deviation},
-            "notes": list(self.notes),
-        }
+        return {"cases": [{**vars(c), "alpha": str(c.alpha)} for c in self.cases],
+                "summary": {"counts": self.counts,
+                            "worst_deviation": self.worst_deviation},
+                "notes": list(self.notes)}
 
     def to_csv(self):
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["label", "alpha", "source", "status", "deviation",
-                    "oracle_min", "oracle_max", "note"])
+        w.writerow([f.name for f in fields(SweepCase)])
         for c in self.cases:
-            w.writerow([c.label, c.alpha, c.source, c.status,
-                        "" if c.deviation is None else f"{c.deviation:.3e}",
-                        "" if c.oracle_min is None else f"{c.oracle_min:.12g}",
-                        "" if c.oracle_max is None else f"{c.oracle_max:.12g}",
-                        c.note])
+            # csv writes None as an empty cell and anything else with str()
+            w.writerow([v if v is None or k not in _CSV_FORMATS
+                        else format(v, _CSV_FORMATS[k]) for k, v in vars(c).items()])
         return buf.getvalue()
 
     def to_text(self):
@@ -131,8 +131,7 @@ def spectra_equal(s1, s2, tol=TOL_MATCH):
     equality at tolerance tol. For exact certificates compare characteristic
     polynomials instead (charpolys_equal_exact).
     """
-    v1 = s1.values if isinstance(s1, Spectrum) else sorted(map(float, s1), reverse=True)
-    v2 = s2.values if isinstance(s2, Spectrum) else sorted(map(float, s2), reverse=True)
+    v1, v2 = (Spectrum.from_values(list(s)).values for s in (s1, s2))
     return len(v1) == len(v2) and _gap(v1, v2) <= tol
 
 

@@ -210,3 +210,18 @@ def test_usage_error_exit(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["verify", "--grid", "1/0"], "1/0"),
+    (["cospectral", "shrikhande", "rook4x4", "path:2", "--grid", "1/0"], "1/0"),
+    (["verify", "--grid", "abc"], "abc"),
+])
+def test_malformed_grid_token_is_a_usage_error(capsys, argv, token):
+    # --grid shares --exact's alpha grammar: 1/0 is refused, not a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert repr(token) in lines[0]
+    assert "Traceback" not in err

@@ -294,3 +294,8 @@ def test_equitable_partition():
         cells = equitable_partition(g)
         assert sorted(u for X in cells for u in X) == list(range(g.n))
         assert _is_equitable(g, cells)
+
+
+def test_is_connected_on_one_and_two_isolated_vertices():
+    assert is_connected(Graph(1, frozenset()))
+    assert not is_connected(Graph(2, frozenset()))

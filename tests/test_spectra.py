@@ -375,3 +375,14 @@ def test_energy_k23():
 def test_energy_alpha_one_rejected():
     with pytest.raises(ParameterError):
         a_alpha_energy(generate("complete", [3]), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_char_poly_refuses_a_non_square_matrix(dtype):
+    with pytest.raises(ParameterError, match="square"):
+        char_poly(np.zeros((2, 3), dtype=dtype))
+
+
+def test_coronal_kpq_needs_both_parts_nonempty():
+    with pytest.raises(ParameterError, match="p, q >= 1"):
+        coronal_kpq_alpha(0, 3, 0.5)

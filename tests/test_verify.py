@@ -302,3 +302,36 @@ def test_single_power_variant_takes_any_second_graph():
     variant = _cvjoin_closed_variant_single_power(pet, paw, 0.5)
     assert len(variant) == pet.n + pet.m + paw.n
     assert variant == sorted(variant, reverse=True)
+
+
+def test_a_cospectral_exact_of_different_orders_is_false():
+    assert a_cospectral_exact(generate("cycle", [4]), generate("cycle", [5])) is False
+
+
+def test_report_schema_is_the_sweep_case_fields():
+    import csv
+    import io
+    from dataclasses import fields
+
+    from alphacentral.verify import SweepCase
+    names = [f.name for f in fields(SweepCase)]
+    k3 = generate("complete", [3])
+    report = sweep([k3], [Fraction(1, 3)], include_formula_notes=False)
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert rows[0] == names
+    assert rows[1][names.index("alpha")] == "1/3"
+    case = report.to_json()["cases"][0]
+    assert list(case) == names and case["alpha"] == "1/3"
+
+    family = cospectral_cvjoin_family(generate("shrikhande"), generate("rook4x4"),
+                                      generate("path", [2]), [Fraction(1, 3)])
+    rows = list(csv.reader(io.StringIO(family.to_csv())))
+    assert rows[0] == names
+    necessary = dict(zip(names, rows[1]))
+    assert necessary["source"] == "necessary-conditions"
+    assert necessary["deviation"] == "" and necessary["oracle_min"] == ""
+    assert dict(zip(names, rows[2]))["alpha"] == "1/3"
+    payload = family.to_json()
+    assert [list(c) for c in payload["cases"]] == [names, names]
+    assert payload["cases"][0]["deviation"] is None
+    assert payload["cases"][1]["alpha"] == "1/3"
