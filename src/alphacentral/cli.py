@@ -6,7 +6,8 @@ given as a decimal (--alpha 0.5) or an exact fraction (--exact 1/2), the
 latter switching exact rational arithmetic on where it matters. Every alpha
 token (--exact and each comma-separated --grid entry) is read by one
 grammar, _alpha_token: a Fraction under --exact or when written P/Q, a
-float otherwise; a malformed token, 1/0 included, is a usage error.
+float otherwise; a malformed token, 1/0 included, is a usage error, and so
+is a --grid with no alpha in it.
 
 Each subcommand's handler is bound where its parser is built
 (set_defaults(run=...)), so main dispatches through args.run.
@@ -68,8 +69,14 @@ def _alpha_from(args):
 
 
 def _grid_from(text):
-    return [_alpha_token(tok, exact=False)
+    """The alphas of a comma-separated --grid; empty tokens are skipped,
+    but a grid with no alpha at all is a usage error, since it would
+    verify nothing."""
+    grid = [_alpha_token(tok, exact=False)
             for tok in map(str.strip, text.split(",")) if tok]
+    if not grid:
+        raise ParameterError(f"--grid lists no alpha, got {text!r}")
+    return grid
 
 
 def _emit(text, out):

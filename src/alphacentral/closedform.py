@@ -48,8 +48,16 @@ cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. One
 eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
 cell-constant vectors, sigma = 2 Delta(G2) + 1) splits G2 into the n2 - k
 other eigenvalues, the linear factors, and the k pairs (v_i, c_i); the
-central graph's split is empty. The last bracket times the k linear factors
-it cancels is the characteristic polynomial of the arrowhead
+central graph's split is empty. An r2-regular G2 is one cell, spanned by
+the all-ones vector, and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2), so
+its split is affine in alpha over its adjacency spectrum lambda: mu = alpha
+r2 + (1 - alpha) lambda with one copy of r2 dropped, v = [r2], c = [n2].
+The shift moves only the eigenvalue of the all-ones vector, so this is the
+same split without an eigensolve per alpha. The adjacency spectra of G1 and
+of a regular G2 are each solved once per Graph instance and kept on it
+(graphs.Graph), so a sweep over alphas solves neither again. The last
+bracket times the k linear factors it cancels is the characteristic
+polynomial of the arrowhead
 
     [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
      [.,                            2a,                0                 ],
@@ -75,9 +83,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .graphs import _colours, adjacency_matrix, generate, regularity
-from .spectra import (Spectrum, _check_alpha, _coronal_spectral, _eigh_checked,
-                      a_alpha_matrix)
+from .graphs import _colours, generate, regularity
+from .spectra import Spectrum, _check_alpha, _coronal_spectral, a_alpha_matrix
 
 TOL_MATCH = 1e-8
 TOL_ROOT = 1e-10
@@ -315,7 +322,7 @@ def _charpoly_join(G1, r1, a, mu, v, c, label):
     n2 = len(mu) + len(v)
     shifted, no_poles = a * n1 + mu, np.empty((len(mu), 0))
     # adjacency eigenvalues of G1 but the Perron root r1, descending
-    l = _eigh_checked(adjacency_matrix(G1))[0][-2::-1]
+    l = G1._adjacency_eigenvalues[-2::-1]
     t = a * (n1 + n2) - (1 - a) * l - 1
     # l >= -r1 for an r1-regular graph; a rounding undershoot would give nan
     base_weights = (1 - a) ** 2 * np.maximum(l + r1, 0.0)
@@ -365,18 +372,32 @@ def spectrum_central_regular(G, alpha):
 def _g2_split(g2, a):
     """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
-    g2 is any Graph, or a (p, q) tuple for K_{p,q}. Each vertex of G2 is
-    coloured by its cell: the coarsest equitable partition's colours from
-    graphs._colours, or the parts {P, Q} for a tuple (so the coronal factor
-    of K_{p,q} is a quartic even when p = q). One checked eigendecomposition
-    of A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
-    orthogonal to the cell-constant vectors and the k cell-constant pairs
-    (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
+    g2 is any Graph, or a (p, q) tuple for K_{p,q}. For an r2-regular Graph
+    the coarsest equitable partition is one cell, spanned by the all-ones
+    vector, and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2) shares A(G2)'s
+    eigenvectors. So the split is affine in alpha over the graph's cached,
+    checked adjacency spectrum: mu = alpha r2 + (1 - alpha) lambda with one
+    copy of r2 dropped, v = [r2] and c = [n2], since 1 is an r2-eigenvector
+    with (1^T 1)^2 / n2 = n2. This is exactly what the shifted
+    eigendecomposition below finds for one cell, up to rounding.
+
+    Otherwise each vertex is coloured by its cell: the coarsest equitable
+    partition's colours from graphs._colours, or the parts {P, Q} for a
+    tuple (so the coronal factor of K_{p,q} is a quartic even when p = q).
+    One checked eigendecomposition of A_alpha(G2) + sigma P splits, by
+    index, into the n2 - k eigenvalues orthogonal to the cell-constant
+    vectors and the k cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as
+    in the coronal.
     """
     if isinstance(g2, tuple):
         p, q = g2
         G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
     else:
+        r2 = regularity(g2)
+        if r2 is not None:
+            # every adjacency eigenvalue but the largest (a copy of r2), descending
+            mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
+            return mu, np.array([float(r2)]), np.array([float(g2.n)])
         G2, colour = g2, _colours(g2)
     n2, k = G2.n, max(colour) + 1
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -40,6 +41,14 @@ class Graph:
 
     Edges are stored as a frozenset of (i, j) pairs with i < j. Instances
     are immutable value objects; every operation returns a new Graph.
+
+    Because an instance never changes, the data derived from it alone is
+    computed once, on first use, and kept on the instance: the degree
+    tuple, the common degree (regularity), the colours of the coarsest
+    equitable partition, the float adjacency matrix (stored read-only) and
+    its checked ascending eigenvalues. They live exactly as long as the
+    instance. Public accessors (degree_sequence, adjacency_matrix) hand out
+    copies the caller owns.
     """
 
     n: int
@@ -77,11 +86,59 @@ class Graph:
 
     @property
     def degree_sequence(self):
+        return list(self._degrees)
+
+    @cached_property
+    def _degrees(self):
         deg = [0] * self.n
         for i, j in self.edges:
             deg[i] += 1
             deg[j] += 1
-        return deg
+        return tuple(deg)
+
+    @cached_property
+    def _regularity(self):
+        r = self._degrees[0]
+        return r if all(d == r for d in self._degrees) else None
+
+    @cached_property
+    def _cell_colours(self):
+        """Each vertex's cell in the coarsest equitable partition, cells
+        numbered in order of their first vertex. Colour refinement from the
+        degrees recolours each vertex by its colour and its neighbours'
+        colour multiset until a round splits no cell; a regular graph is
+        one cell."""
+        ids = {}
+        colour = [ids.setdefault(d, len(ids)) for d in self._degrees]
+        count = len(ids)
+        if count > 1:
+            adj = _neighbours(self)
+            while True:
+                ids = {}
+                new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
+                                      len(ids)) for v in range(self.n)]
+                if len(ids) == count:
+                    break
+                colour, count = new, len(ids)
+        return tuple(colour)
+
+    @cached_property
+    def _adjacency(self):
+        """The float adjacency matrix, read-only."""
+        A = np.zeros((self.n, self.n))
+        for i, j in self.edges:
+            A[i, j] = A[j, i] = 1.0
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def _adjacency_eigenvalues(self):
+        """Ascending eigenvalues of the adjacency matrix, read-only, from the
+        one checked eigensolver gate (spectra._eigh_checked)."""
+        from . import spectra  # spectra imports this module
+        w = spectra._eigh_checked(self._adjacency)[0]
+        w.flags.writeable = False
+        return w
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -214,11 +271,9 @@ def format_edge_list(G):
 # matrix extractors
 
 def adjacency_matrix(G):
-    """Symmetric 0/1 adjacency matrix with zero diagonal (float64)."""
-    A = np.zeros((G.n, G.n))
-    for i, j in G.edges:
-        A[i, j] = A[j, i] = 1.0
-    return A
+    """Symmetric 0/1 adjacency matrix with zero diagonal (float64); a copy
+    the caller owns."""
+    return G._adjacency.copy()
 
 
 def degree_matrix(G):
@@ -242,9 +297,7 @@ def complement(G):
 
 def regularity(G):
     """Common degree r if G is regular, else None. K_1 is 0-regular."""
-    deg = G.degree_sequence
-    r = deg[0]
-    return r if all(d == r for d in deg) else None
+    return G._regularity
 
 
 def _neighbours(G):
@@ -283,23 +336,8 @@ def equitable_partition(G):
 
 def _colours(G):
     """Each vertex's cell in the coarsest equitable partition of G, cells
-    numbered in order of their first vertex. Colour refinement from the
-    degrees recolours each vertex by its colour and its neighbours' colour
-    multiset until a round splits no cell; a regular graph is one cell.
-    """
-    ids = {}
-    colour = [ids.setdefault(d, len(ids)) for d in G.degree_sequence]
-    count = len(ids)
-    if count > 1:
-        adj = _neighbours(G)
-        while True:
-            ids = {}
-            new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
-                                  len(ids)) for v in range(G.n)]
-            if len(ids) == count:
-                break
-            colour, count = new, len(ids)
-    return colour
+    numbered in order of their first vertex (Graph._cell_colours)."""
+    return G._cell_colours
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +366,8 @@ def _as_ints(values):
 
 def _invariants(G):
     """(name, value) for each cheap invariant, in order of increasing cost;
-    the adjacency matrix A and A^2 are built once, when first needed. This
-    is the one place each invariant is computed; the public
+    A is the graph's cached adjacency and A^2 is formed once, when first
+    needed. This is the one place each invariant is computed; the public
     triangle_counts_per_vertex, triangles_per_edge and four_clique_count
     read their value from here.
 
@@ -341,8 +379,8 @@ def _invariants(G):
     """
     yield "vertex count", G.n
     yield "edge count", G.m
-    yield "degree multiset", sorted(G.degree_sequence)
-    A = adjacency_matrix(G)
+    yield "degree multiset", sorted(G._degrees)
+    A = G._adjacency
     A2 = A @ A
     yield "triangles per vertex", sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
     I, J = np.nonzero(np.triu(A))

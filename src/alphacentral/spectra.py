@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exactalg
 from .errors import InternalCheckError, ParameterError, PreconditionError, SingularityError
-from .graphs import adjacency_matrix, is_connected, regularity
+from .graphs import is_connected, regularity
 
 TOL_EIG = 1e-12
 TOL_NUM = 1e-9
@@ -160,12 +160,13 @@ def a_alpha_matrix(G, alpha):
     """alpha*D(G) + (1-alpha)*A(G).
 
     Row i sums to degree d_i for every alpha; the trace is 2*m*alpha.
-    Both modes start from A = adjacency_matrix(G) and take D from its row
-    sums. A Fraction alpha selects exact mode and yields an object array of
-    Fractions; a float yields float64.
+    Both modes start from G's cached adjacency matrix A, take D from its
+    row sums, and return a new array the caller owns. A Fraction alpha
+    selects exact mode and yields an object array of Fractions; a float
+    yields float64.
     """
     _check_alpha(alpha, allow_one=True)
-    A = adjacency_matrix(G)
+    A = G._adjacency
     deg = A.sum(axis=1)
     if isinstance(alpha, Fraction):
         # one Fraction per distinct value, shared by every entry that holds it
@@ -329,8 +330,8 @@ def hoffman_poly(G):
         raise PreconditionError("Hoffman polynomial needs a regular graph")
     if not is_connected(G):
         raise PreconditionError("Hoffman polynomial needs a connected graph")
-    A = adjacency_matrix(G)
-    groups = eigenvalues_sym(A).groups
+    A = G._adjacency
+    groups = Spectrum.from_values(G._adjacency_eigenvalues).groups
     rest = np.array([v for v, _ in groups[1:]])
     poly = _from_roots(rest, G.n / np.prod(r - rest))
     PA = _poly_on_matrix(poly, A)

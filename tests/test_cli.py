@@ -216,6 +216,9 @@ def test_usage_error_exit(capsys):
     (["verify", "--grid", "1/0"], "1/0"),
     (["cospectral", "shrikhande", "rook4x4", "path:2", "--grid", "1/0"], "1/0"),
     (["verify", "--grid", "abc"], "abc"),
+    # a grid with no alpha verifies nothing, so it must not exit 0
+    (["verify", "--grid", ","], ","),
+    (["cospectral", "shrikhande", "rook4x4", "path:2", "--grid", ""], ""),
 ])
 def test_malformed_grid_token_is_a_usage_error(capsys, argv, token):
     # --grid shares --exact's alpha grammar: 1/0 is refused, not a traceback

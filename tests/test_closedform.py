@@ -13,7 +13,7 @@ from alphacentral import (Graph, InternalCheckError, PreconditionError,
                           eigenvalues_sym, equitable_partition, generate,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
-from alphacentral.closedform import TOL_MATCH, _arrowheads
+from alphacentral.closedform import TOL_MATCH, _arrowheads, _g2_split
 from alphacentral.exactalg import det_exact
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
@@ -557,3 +557,35 @@ def test_cvjoin_order_60_g2():
             assert fac.evaluate(y) == pytest.approx(np.prod(y - oracle), rel=1e-8)
         from_roots = np.polynomial.polynomial.polyval(x, np.poly(z)[::-1])
         assert abs(from_roots / coronal(x) - 1) > 1e-8
+
+
+def _shifted_split(G2, a):
+    """The split of G2 by one eigendecomposition of A_alpha(G2) + sigma P, P
+    the projector onto the cell-constant vectors of G2's coarsest equitable
+    partition: the route every non-regular G2 takes."""
+    cells = equitable_partition(G2)
+    n2, k = G2.n, len(cells)
+    P = np.zeros((n2, n2))
+    for X in cells:
+        P[np.ix_(X, X)] = 1.0 / len(X)
+    M = a_alpha_matrix(G2, a)
+    sigma = 2 * M.sum(axis=1).max() + 1
+    w, V = np.linalg.eigh(M + sigma * P)
+    c = V.sum(axis=0) ** 2
+    return w[:n2 - k][::-1], w[n2 - k:] - sigma, c[n2 - k:]
+
+
+@pytest.mark.parametrize("g2", [
+    generate("complete", [1]),
+    Graph.from_edges(3, []),  # r2 = 0
+    Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2K3: r2 twice
+    generate("cycle", [5]), generate("petersen"), generate("shrikhande")],
+    ids=["K1", "3K1", "2K3", "C5", "Petersen", "Shrikhande"])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.9999, 1.0])
+def test_regular_g2_split_matches_the_shifted_eigendecomposition(g2, a):
+    # a regular G2 is one cell, so the affine split from its adjacency
+    # spectrum must be the shifted eigendecomposition's, up to rounding
+    assert len(equitable_partition(g2)) == 1
+    for got, want in zip(_g2_split(g2, a), _shifted_split(g2, a)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -4,12 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from alphacentral import (Graph, ParameterError, ParseError, adjacency_matrix,
-                          complement, degree_matrix,
+from alphacentral import (Graph, ParameterError, ParseError, a_alpha_matrix,
+                          adjacency_matrix, complement, degree_matrix,
                           equitable_partition, format_edge_list, generate,
                           incidence_matrix,
                           is_connected, nonisomorphism_witness,
-                          parse_edge_list, regularity)
+                          parse_edge_list, regularity,
+                          spectrum_cvjoin_regular)
 from alphacentral.construct import central_vertex_join
 from alphacentral.graphs import (four_clique_count, triangle_counts_per_vertex,
                                  triangles_per_edge)
@@ -299,3 +300,25 @@ def test_equitable_partition():
 def test_is_connected_on_one_and_two_isolated_vertices():
     assert is_connected(Graph(1, frozenset()))
     assert not is_connected(Graph(2, frozenset()))
+
+
+def test_public_copies_leave_the_cached_data_alone():
+    # the derived data is computed once per Graph and kept on it; the public
+    # accessors hand out copies, so writing into them changes nothing later
+    g, h, a = generate("petersen"), generate("cycle", [5]), 0.3
+    matrices = [a_alpha_matrix(G, a) for G in (g, h)]
+    spectrum = spectrum_cvjoin_regular(g, h, a)
+    for G in (g, h):
+        A = adjacency_matrix(G)
+        A[:] = 7.0
+        deg = G.degree_sequence
+        deg[:] = [0] * G.n
+    for G, M in zip((g, h), matrices):
+        assert np.array_equal(a_alpha_matrix(G, a), M)
+    assert spectrum_cvjoin_regular(g, h, a) == spectrum
+    assert regularity(g) == 3 and g.degree_sequence == [3] * 10
+    # the cached arrays themselves refuse writes
+    with pytest.raises(ValueError):
+        g._adjacency[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        g._adjacency_eigenvalues[0] = 0.0

@@ -86,8 +86,24 @@ def test_central_closed_form_matches_eigensolver(g, a):
     assert _deviation(spectrum_central_regular(g, a), central_graph(g), a) <= TOL_MATCH
 
 
+@st.composite
+def regular_second_graphs(draw):
+    """A regular G2: connected of degree >= 1, edgeless (r2 = 0), or a
+    disjoint union of cycles (r2 = 2 with multiplicity)."""
+    kind = draw(st.sampled_from(["connected", "edgeless", "cycles"]))
+    if kind == "edgeless":
+        return Graph.from_edges(draw(st.integers(1, 8)), [])
+    if kind == "cycles":
+        edges, off = [], 0
+        for s in draw(st.lists(st.integers(3, 6), min_size=2, max_size=3)):
+            edges += [(off + i, off + (i + 1) % s) for i in range(s)]
+            off += s
+        return Graph.from_edges(off, edges)
+    return draw(regular_graphs(min_degree=1))
+
+
 @SETTINGS
-@given(g1=regular_graphs(min_degree=2), g2=regular_graphs(min_degree=1), a=alphas)
+@given(g1=regular_graphs(min_degree=2), g2=regular_second_graphs(), a=alphas)
 def test_regular_join_closed_form_matches_eigensolver(g1, g2, a):
     closed = spectrum_cvjoin_regular(g1, g2, a)
     assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH

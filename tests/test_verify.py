@@ -9,7 +9,7 @@ from alphacentral import (PreconditionError, SingularityError, a_alpha_matrix,
                           cospectral_cvjoin_family, eigenvalues_sym,
                           formula_discrepancy_notes, generate, spectra_equal,
                           sweep)
-from alphacentral import verify
+from alphacentral import spectra, verify
 from alphacentral.closedform import charpoly_cvjoin
 from alphacentral.graphs import Graph, regularity
 from alphacentral.verify import (_cvjoin_closed_variant_single_power, a_cospectral_exact,
@@ -44,6 +44,25 @@ def test_sweep_builds_each_entry_once(monkeypatch):
     report = sweep([pet], [0.0, 0.5, 1.0], include_formula_notes=False)
     assert report.counts["pass"] == 3
     assert built == [pet]
+
+
+def test_sweep_solves_each_adjacency_once(monkeypatch):
+    # A(Petersen) and A(C5) do not depend on alpha: each is solved once per
+    # Graph, and only the oracle solves once per alpha
+    solved = []
+    real = spectra._eigh_checked
+
+    def spy(M):
+        solved.append(np.asarray(M).shape[0])
+        return real(M)
+    monkeypatch.setattr(spectra, "_eigh_checked", spy)
+    pet, c5 = generate("petersen"), generate("cycle", [5])
+    grid = default_alpha_grid()
+    report = sweep([(pet, c5)], grid, include_formula_notes=False)
+    assert report.counts["pass"] == len(grid)
+    built = pet.n + pet.m + c5.n
+    assert sorted(solved) == sorted([pet.n, c5.n] + [built] * len(grid))
+    assert len(solved) == 9
 
 
 def test_sweep_skips_low_degree_first_graph():
