@@ -2,18 +2,21 @@
 
 Graph arguments accept a file path, "-" for standard input, or a generator
 shorthand like "petersen", "complete:4", "complete_bipartite:2,3". Alpha is
-given as a decimal (--alpha 0.5) or an exact fraction (--exact 1/2), the
-latter switching exact rational arithmetic on where it matters. Every alpha
-token (--exact and each comma-separated --grid entry) is read by one
-grammar, _alpha_token: a Fraction under --exact or when written P/Q, a
-float otherwise; a malformed token, 1/0 included, is a usage error, and so
-is a --grid with no alpha in it.
+given as a decimal (--alpha 0.5) or an exact fraction (--exact 1/2), never
+both: the two options form one mutually exclusive group. _alpha_from is the
+one place that decides a command's alpha. spectrum and charpoly accept
+--exact and switch exact rational arithmetic on where it matters;
+closed-spectrum and energy compute in floating point and refuse it as a
+violated precondition. Every alpha token (--exact and each comma-separated
+--grid entry) is read by one grammar, _alpha_token: a Fraction under
+--exact or when written P/Q, a float otherwise; a malformed token, 1/0
+included, is a usage error, and so is a --grid with no alpha in it.
 
 Each subcommand's handler is bound where its parser is built
 (set_defaults(run=...)), so main dispatches through args.run.
 
-Exit codes: 0 ok, 1 usage or unreadable input, 2 violated precondition,
-3 verification failure.
+Exit codes: 0 ok, 1 usage or unreadable input (any OSError, a directory
+given as a file included), 2 violated precondition, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -60,9 +63,15 @@ def _alpha_token(tok, exact):
             f"alpha must be a decimal or a fraction P/Q, got {tok!r}") from None
 
 
-def _alpha_from(args):
-    if getattr(args, "exact", None):
-        return _alpha_token(args.exact, exact=True)
+def _alpha_from(args, exact_ok=True):
+    """The alpha of --alpha or --exact; a command whose result is computed
+    in floating point passes exact_ok=False and refuses --exact."""
+    if args.exact:
+        alpha = _alpha_token(args.exact, exact=True)
+        if exact_ok:
+            return alpha
+        raise PreconditionError(f"{args.command} computes in floating point and has no exact "
+                                "mode; use 'charpoly --exact P/Q' for exact arithmetic")
     if args.alpha is None:
         raise ParameterError("alpha required: pass --alpha A or --exact P/Q")
     return args.alpha
@@ -93,8 +102,9 @@ def build_parser():
                     "the matrix family alpha*D + (1-alpha)*A.")
     sub = p.add_subparsers(dest="command", required=True)
     alpha = argparse.ArgumentParser(add_help=False)
-    alpha.add_argument("--alpha", type=float)
-    alpha.add_argument("--exact", help="alpha as an exact fraction P/Q")
+    one_alpha = alpha.add_mutually_exclusive_group()
+    one_alpha.add_argument("--alpha", type=float)
+    one_alpha.add_argument("--exact", help="alpha as an exact fraction P/Q")
 
     g = sub.add_parser("generate", help="emit a catalog graph as an edge list")
     g.add_argument("family", choices=FAMILIES)
@@ -196,12 +206,7 @@ def _cmd_cvjoin(args):
 
 
 def _cmd_closed_spectrum(args):
-    alpha = _alpha_from(args)
-    if isinstance(alpha, Fraction):
-        raise PreconditionError(
-            "closed-spectrum roots its factors in floating point and has no "
-            "exact mode; use 'charpoly --exact P/Q' for the exact "
-            "characteristic polynomial")
+    alpha = _alpha_from(args, exact_ok=False)
     if args.mode == "central":
         if len(args.graphs) != 1:
             raise ParameterError("closed-spectrum central takes one graph")
@@ -226,7 +231,7 @@ def _cmd_closed_spectrum(args):
 
 
 def _cmd_energy(args):
-    alpha = _alpha_from(args)
+    alpha = _alpha_from(args, exact_ok=False)
     print(f"{a_alpha_energy(_load_graph(args.graph), alpha):.12g}")
     return EXIT_OK
 
@@ -288,7 +293,7 @@ def main(argv=None):
         # must precede ValueError: PreconditionError subclasses it
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParseError, ParameterError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

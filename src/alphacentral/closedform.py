@@ -83,7 +83,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .graphs import _colours, generate, regularity
+from .graphs import generate, regularity
 from .spectra import Spectrum, _check_alpha, _coronal_spectral, a_alpha_matrix
 
 TOL_MATCH = 1e-8
@@ -185,7 +185,7 @@ class ArrowheadStack:
 
     def factor(self, row):
         """The given row as a one-row stack, the view that Factor.poly holds:
-        it has coeffs, to_json and a point value."""
+        it has coeffs and a point value."""
         s = slice(row, row + 1)
         return ArrowheadStack(self.label, self.blocks[s], self.t[s], self.poles[s],
                               self.weights[s])
@@ -207,9 +207,6 @@ class ArrowheadStack:
         for j, wj in enumerate(w):
             out[2:] -= wj * np.poly(np.delete(p, j))
         return tuple(out[::-1].tolist())
-
-    def to_json(self):
-        return {"coeffs": list(self.coeffs)}
 
 
 def _arrowheads(label, corner, t, poles, weights, keys=None):
@@ -276,15 +273,10 @@ class FactoredCharPoly:
         return out
 
     def to_json(self):
-        factors = [dict(f.poly.to_json(), mult=f.mult, label=f.label)
+        factors = [{"coeffs": list(f.poly.coeffs), "mult": f.mult, "label": f.label}
                    for f in self.factors]
         return {"linear": {"root": float(self.linear_root), "mult": self.linear_mult},
                 "factors": factors}
-
-
-def _spectrum(fac):
-    """The spectrum of fac's roots; FactoredCharPoly has checked their count."""
-    return Spectrum.from_values(fac.roots())
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +355,7 @@ def charpoly_central_regular(G, alpha):
 def spectrum_central_regular(G, alpha):
     """Spectrum of A_alpha(central_graph(G)) from the factorization; the
     result has exactly n + m values."""
-    return _spectrum(charpoly_central_regular(G, alpha))
+    return Spectrum.from_values(charpoly_central_regular(G, alpha).roots())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +374,7 @@ def _g2_split(g2, a):
     eigendecomposition below finds for one cell, up to rounding.
 
     Otherwise each vertex is coloured by its cell: the coarsest equitable
-    partition's colours from graphs._colours, or the parts {P, Q} for a
+    partition's colours from Graph._cell_colours, or the parts {P, Q} for a
     tuple (so the coronal factor of K_{p,q} is a quartic even when p = q).
     One checked eigendecomposition of A_alpha(G2) + sigma P splits, by
     index, into the n2 - k eigenvalues orthogonal to the cell-constant
@@ -398,7 +390,7 @@ def _g2_split(g2, a):
             # every adjacency eigenvalue but the largest (a copy of r2), descending
             mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
             return mu, np.array([float(r2)]), np.array([float(g2.n)])
-        G2, colour = g2, _colours(g2)
+        G2, colour = g2, g2._cell_colours
     n2, k = G2.n, max(colour) + 1
 
     # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at
@@ -434,10 +426,10 @@ def spectrum_cvjoin_regular(G1, G2, alpha):
     2(n1 - 1) roots of the base-eigenvalue blocks, and the 2 + k
     eigenvalues of the coronal arrowhead.
     """
-    return _spectrum(charpoly_cvjoin(G1, G2, alpha))
+    return Spectrum.from_values(charpoly_cvjoin(G1, G2, alpha).roots())
 
 
 def spectrum_cvjoin_kpq(G1, p, q, alpha):
     """Spectrum of A_alpha(central_vertex_join(G1, K_{p,q})); the coronal
     factor over the parts {P, Q} contributes four roots."""
-    return _spectrum(charpoly_cvjoin(G1, (p, q), alpha))
+    return Spectrum.from_values(charpoly_cvjoin(G1, (p, q), alpha).roots())

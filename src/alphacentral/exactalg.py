@@ -133,7 +133,7 @@ def charpoly_int(M):
     if n == 0:
         return [1]
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+        raise ParameterError("matrix is not square")
     bound, A = _row_norm_bound(rows)
     primes, prod = _primes_above(n, bound)
     if prod <= 2 * bound:
@@ -209,7 +209,7 @@ def det_exact(M):
     rows = [[Fraction(x) for x in row] for row in M]
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+        raise ParameterError("matrix is not square")
     sign = 1
     det = Fraction(1)
     for col in range(n):

@@ -104,22 +104,19 @@ class Graph:
     @cached_property
     def _cell_colours(self):
         """Each vertex's cell in the coarsest equitable partition, cells
-        numbered in order of their first vertex. Colour refinement from the
-        degrees recolours each vertex by its colour and its neighbours'
-        colour multiset until a round splits no cell; a regular graph is
-        one cell."""
-        ids = {}
-        colour = [ids.setdefault(d, len(ids)) for d in self._degrees]
-        count = len(ids)
-        if count > 1:
-            adj = _neighbours(self)
-            while True:
-                ids = {}
-                new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
-                                      len(ids)) for v in range(self.n)]
-                if len(ids) == count:
-                    break
-                colour, count = new, len(ids)
+        numbered in order of their first vertex. Colour refinement from one
+        colour recolours each vertex by its colour and its neighbours'
+        colour multiset until a round splits no cell; the first round splits
+        by degree, so a regular graph is one cell."""
+        colour, count = [0] * self.n, 1
+        adj = _neighbours(self)
+        while True:
+            ids = {}
+            new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
+                                  len(ids)) for v in range(self.n)]
+            if len(ids) == count:
+                break
+            colour, count = new, len(ids)
         return tuple(colour)
 
     @cached_property
@@ -325,19 +322,14 @@ def is_connected(G):
 def equitable_partition(G):
     """Coarsest equitable partition of G (every vertex of cell X has the
     same number of neighbours in cell Y), as ascending vertex lists ordered
-    by first vertex; cell c holds the vertices of _colours colour c.
+    by first vertex; cell c holds the vertices of colour c in the colour
+    refinement that Graph._cell_colours runs once per instance.
     """
-    colour = _colours(G)
+    colour = G._cell_colours
     cells = [[] for _ in range(max(colour) + 1)]
     for v, c in enumerate(colour):
         cells[c].append(v)
     return cells
-
-
-def _colours(G):
-    """Each vertex's cell in the coarsest equitable partition of G, cells
-    numbered in order of their first vertex (Graph._cell_colours)."""
-    return G._cell_colours
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,21 @@ def test_spectrum_missing_file(capsys):
     assert "missing.txt" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "{dir}", "--alpha", "0.5"),
+    ("generate", "petersen", "--out", "{dir}"),
+    ("verify", "--catalog", "{dir}"),
+])
+def test_directory_path_is_a_usage_error(tmp_path, capsys, argv):
+    # reading or writing a directory raises an OSError other than
+    # FileNotFoundError, which is a usage error all the same
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_spectrum_requires_alpha(capsys):
     code, _, err = run(capsys, "spectrum", "petersen")
     assert code == 1 and "alpha" in err
@@ -138,11 +153,30 @@ def test_closed_spectrum_json_is_the_closed_form_spectrum(capsys, tmp_path):
 
 
 def test_closed_spectrum_exact_alpha_refused(capsys):
-    # the factors are rooted in floats, so --exact must fail loudly
-    for argv in (("central", "petersen"), ("cvjoin", "complete:3", "complete:2")):
-        code, out, err = run(capsys, "closed-spectrum", *argv, "--exact", "1/2")
+    # the factors are rooted in floats, and the energy sums float
+    # eigenvalues, so --exact must fail loudly
+    for argv in (("closed-spectrum", "central", "petersen"),
+                 ("closed-spectrum", "cvjoin", "complete:3", "complete:2"),
+                 ("energy", "petersen")):
+        code, out, err = run(capsys, *argv, "--exact", "1/2")
         assert code == 2 and out == ""
         assert "precondition" in err and "charpoly --exact" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("central", "petersen", "cycle:5"), "closed-spectrum central takes one graph"),
+    (("cvjoin", "petersen"), "closed-spectrum cvjoin takes two graphs"),
+])
+def test_closed_spectrum_graph_count_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "closed-spectrum", *argv, "--alpha", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_alpha_and_exact_exclude_each_other(capsys):
+    code, out, err = run(capsys, "charpoly", "complete:3", "--alpha", "0.3", "--exact", "1/2")
+    assert code == 1 and out == ""
+    assert "not allowed with" in err
 
 
 def test_energy(capsys):

@@ -71,6 +71,12 @@ def test_det_exact_needs_pivot_swap():
     assert det_exact([[0, 1], [1, 0]]) == -1
 
 
+@pytest.mark.parametrize("engine", [charpoly_int, det_exact])
+def test_non_square_matrix_is_a_parameter_error(engine):
+    with pytest.raises(ParameterError, match="not square"):
+        engine([[1, 2, 3], [4, 5, 6]])
+
+
 def test_charpoly_exact_scaling():
     # charpoly of M derived from the integer engine on lcm-scaled entries
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(0)]]

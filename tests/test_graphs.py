@@ -87,6 +87,11 @@ def test_parse_self_loop_and_garbage():
         parse_edge_list("3\n0 1 2")
     with pytest.raises(ParseError):
         parse_edge_list("")
+    for text, message in (("x\n", "line 1: expected vertex count"),
+                          ("0\n", "line 1: vertex count must be >= 1"),
+                          ("3\n0 a\n", "line 2: non-integer endpoint")):
+        with pytest.raises(ParseError, match=message):
+            parse_edge_list(text)
 
 
 def test_parse_allows_comments_and_blanks():

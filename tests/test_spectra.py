@@ -109,6 +109,8 @@ def test_k2_family_spectrum(a):
 def test_nonsymmetric_rejected():
     with pytest.raises(ParameterError):
         eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ParameterError, match="square"):
+        eigenvalues_sym(np.zeros((2, 3)))
 
 
 def test_non_finite_eigenvalues_fail_the_residual_check():
