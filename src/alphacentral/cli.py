@@ -104,7 +104,9 @@ def build_parser():
     alpha = argparse.ArgumentParser(add_help=False)
     one_alpha = alpha.add_mutually_exclusive_group()
     one_alpha.add_argument("--alpha", type=float)
-    one_alpha.add_argument("--exact", help="alpha as an exact fraction P/Q")
+    one_alpha.add_argument("--exact", help="alpha as an exact fraction P/Q; only spectrum "
+                                           "and charpoly accept it, the other commands "
+                                           "refuse it with exit 2")
 
     g = sub.add_parser("generate", help="emit a catalog graph as an edge list")
     g.add_argument("family", choices=FAMILIES)

@@ -7,24 +7,39 @@ matrices is directly assertable:
   of G in lexicographic edge order.
 - central_vertex_join(G1, G2): G1 originals, G1 subdivisions, then the G2
   vertices, in that order.
+
+Both are built as their adjacency matrix, block by block, from the
+adjacency matrices of their operands; the result is a matrix-born Graph,
+whose edge set is formed only if something reads it.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _edge_index
 
 
-def _central_edges(G):
-    """The edges of central_graph(G), each generated once as (i, j), i < j."""
-    n = G.n
-    for k, (i, j) in enumerate(G.sorted_edges()):
-        yield i, n + k
-        yield j, n + k
-    for e in combinations(range(n), 2):
-        if e not in G.edges:
-            yield e
+def _central_adjacency(G, extra):
+    """The adjacency matrix of central_graph(G) as the leading block of an
+    otherwise zero matrix with `extra` more rows and columns:
+
+        [ J - I - A(G)   R(G)   0 ]
+        [ R(G)^T         0      0 ]
+        [ 0              0      0 ]
+
+    with R(G) the vertex-edge incidence matrix, edges in lexicographic
+    order. It takes few numpy calls, since at catalog orders each call
+    costs more than the arithmetic."""
+    n, AG = G.n, G._adjacency
+    I, J = _edge_index(AG)
+    m = len(I)
+    A = np.zeros((n + m + extra, n + m + extra))
+    A[:n, :n] = 1.0 - np.eye(n) - AG
+    sub = np.arange(n, n + m)
+    A[I, sub] = A[J, sub] = 1.0
+    A[n:n + m, :n] = A[:n, n:n + m].T
+    return A
 
 
 def central_graph(G):
@@ -37,7 +52,7 @@ def central_graph(G):
     has degree n - 1. Graphs with n <= 1 or isolated vertices are allowed.
     """
     lab = f"C({G.label})" if G.label else ""
-    return Graph(G.n + G.m, frozenset(_central_edges(G)), lab)
+    return Graph._from_adjacency(_central_adjacency(G, 0), lab)
 
 
 def central_vertex_join(G1, G2):
@@ -48,10 +63,11 @@ def central_vertex_join(G1, G2):
     vertices; each G2 vertex gains degree n1. The result has n1 + m1 + n2
     vertices and m1 + n1(n1-1)/2 + m2 + n1*n2 edges.
     """
-    off = G1.n + G1.m
-    edges = chain(_central_edges(G1), ((off + i, off + j) for i, j in G2.edges),
-                  product(range(G1.n), range(off, off + G2.n)))
+    A = _central_adjacency(G1, G2.n)
+    off = A.shape[0] - G2.n
+    A[off:, off:] = G2._adjacency
+    A[:G1.n, off:] = A[off:, :G1.n] = 1.0
     lab = ""
     if G1.label and G2.label:
         lab = f"{G1.label} vjoin {G2.label}"
-    return Graph(off + G2.n, frozenset(edges), lab)
+    return Graph._from_adjacency(A, lab)

@@ -192,13 +192,25 @@ def charpoly_exact(M):
     """Exact characteristic polynomial of a square rational matrix, as ascending
     monic Fraction coefficients. Scales by the lcm c of the entries'
     denominators and runs the integer engine: if p is the charpoly of c*M,
-    the charpoly of M has coefficients p_k * c^(k-n)."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-            for row in M]
-    c = math.lcm(*{x.denominator for row in rows for x in row})
-    ints = charpoly_int([[x.numerator * (c // x.denominator) for x in row]
-                         for row in rows])
-    return [Fraction(ck, c ** (len(rows) - k)) for k, ck in enumerate(ints)]
+    the charpoly of M has coefficients p_k * c^(k-n).
+
+    The matrix is walked once, giving each entry the slot of its object
+    among the distinct entry objects (a_alpha_matrix shares one Fraction
+    per distinct value); only those are converted and scaled, and the
+    integer matrix is read off their slots."""
+    slot, entries, cells = {}, [], []
+    for row in M:
+        cells.append([])
+        for x in row:
+            k = slot.setdefault(id(x), len(entries))
+            if k == len(entries):
+                entries.append(x)  # kept alive, so no other entry reuses its id
+            cells[-1].append(k)
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries]
+    c = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (c // x.denominator) for x in values]
+    ints = charpoly_int([[scaled[k] for k in r] for r in cells])
+    return [Fraction(ck, c ** (len(cells) - k)) for k, ck in enumerate(ints)]
 
 
 def det_exact(M):

@@ -39,8 +39,16 @@ FAMILIES = ("complete", "complete_bipartite", "cycle", "path",
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Edges are stored as a frozenset of (i, j) pairs with i < j. Instances
-    are immutable value objects; every operation returns a new Graph.
+    Its value is n, the frozenset `edges` of (i, j) pairs with i < j, and
+    the label: equality, hashing and the edge-list format read those.
+    Instances are immutable value objects; every operation returns a new
+    Graph.
+
+    A Graph is born either from its edges (the constructor, from_edges) or
+    from its read-only 0/1 adjacency matrix (_from_adjacency, used by the
+    central graph, the join and the complement). A matrix-born graph forms
+    its edge set only when something reads `edges`; the edge count, the
+    degrees and every spectral quantity come from the matrix.
 
     Because an instance never changes, the data derived from it alone is
     computed once, on first use, and kept on the instance: the degree
@@ -73,9 +81,29 @@ class Graph:
             norm.add((min(a, b), max(a, b)))
         return cls(n, frozenset(norm), label)
 
+    @classmethod
+    def _from_adjacency(cls, A, label=""):
+        """The Graph whose float adjacency matrix is A: symmetric, 0/1, zero
+        diagonal, order >= 1, not checked. Takes ownership of A and makes it
+        read-only."""
+        A.flags.writeable = False
+        G = object.__new__(cls)
+        G.__dict__.update(n=A.shape[0], label=label, _adjacency=A)
+        return G
+
+    def __getattr__(self, name):
+        # only reached for a matrix-born graph's edge set, on its first read
+        if name != "edges" or "_adjacency" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        I, J = _edge_index(self._adjacency)
+        vertex = list(range(self.n))  # one int object per vertex, shared by its edges
+        edges = self.__dict__["edges"] = frozenset(
+            zip(map(vertex.__getitem__, I.tolist()), map(vertex.__getitem__, J.tolist())))
+        return edges
+
     @property
     def m(self):
-        return len(self.edges)
+        return sum(self._degrees) // 2
 
     def sorted_edges(self):
         """Edges in lexicographic order; fixes incidence column order."""
@@ -90,11 +118,7 @@ class Graph:
 
     @cached_property
     def _degrees(self):
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
+        return tuple(self._adjacency.sum(axis=1).astype(np.int64).tolist())
 
     @cached_property
     def _regularity(self):
@@ -267,6 +291,14 @@ def format_edge_list(G):
 # ---------------------------------------------------------------------------
 # matrix extractors
 
+def _edge_index(A):
+    """(I, J): the endpoints i < j of the edges of the adjacency matrix A,
+    in lexicographic order, since np.nonzero walks A row by row."""
+    I, J = np.nonzero(A)
+    upper = I < J
+    return I[upper], J[upper]
+
+
 def adjacency_matrix(G):
     """Symmetric 0/1 adjacency matrix with zero diagonal (float64); a copy
     the caller owns."""
@@ -287,9 +319,8 @@ def incidence_matrix(G):
 
 def complement(G):
     """Complement graph: {i, j} present iff absent in G. A(G)+A(comp) = J-I."""
-    edges = [(i, j) for i, j in combinations(range(G.n), 2) if (i, j) not in G.edges]
     lab = f"co-{G.label}" if G.label else ""
-    return Graph.from_edges(G.n, edges, lab)
+    return Graph._from_adjacency(1.0 - np.eye(G.n) - G._adjacency, lab)
 
 
 def regularity(G):
@@ -375,7 +406,7 @@ def _invariants(G):
     A = G._adjacency
     A2 = A @ A
     yield "triangles per vertex", sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
-    I, J = np.nonzero(np.triu(A))
+    I, J = _edge_index(A)
     yield "triangles per edge", sorted(_as_ints(A2[I, J]).tolist())
     C = A[I] * A[J]
     yield "4-clique count", int(_as_ints(((C @ A) * C).sum())) // 12

@@ -163,6 +163,15 @@ def test_closed_spectrum_exact_alpha_refused(capsys):
         assert "precondition" in err and "charpoly --exact" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "charpoly", "closed-spectrum", "energy"])
+def test_exact_help_names_the_commands_that_accept_it(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse wraps the help text
+    assert "--exact EXACT alpha as an exact fraction P/Q; only spectrum and charpoly " \
+        "accept it" in text
+
+
 @pytest.mark.parametrize("argv, message", [
     (("central", "petersen", "cycle:5"), "closed-spectrum central takes one graph"),
     (("cvjoin", "petersen"), "closed-spectrum cvjoin takes two graphs"),

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix,
                           central_graph, central_vertex_join, complement,
-                          eigenvalues_sym, generate, incidence_matrix,
-                          is_connected, spectra_equal)
+                          cospectral_cvjoin_family, eigenvalues_sym, generate,
+                          incidence_matrix, is_connected, spectra_equal, sweep)
 
 
 def test_central_k3_is_a_six_cycle():
@@ -104,3 +106,40 @@ def test_join_block_structure(a):
 def test_join_label():
     j = central_vertex_join(generate("complete", [3]), generate("complete", [2]))
     assert j.label == "K3 vjoin K2"
+
+
+@pytest.fixture
+def formed_edge_sets(monkeypatch):
+    """Records each matrix-born graph whose edge set gets formed."""
+    formed = []
+    form = Graph.__getattr__
+
+    def spy(self, name):
+        if name == "edges":
+            formed.append(self)
+        return form(self, name)
+
+    monkeypatch.setattr(Graph, "__getattr__", spy)
+    return formed
+
+
+def test_built_graph_forms_its_edge_set_once_when_read(formed_edge_sets):
+    c = central_graph(generate("cycle", [5]))
+    assert c.m == 15 and not formed_edge_sets
+    assert c.edges is c.edges and formed_edge_sets == [c]
+
+
+@pytest.mark.parametrize("entry", [
+    generate("petersen"),
+    (generate("cycle", [4]), generate("path", [4])),
+    (generate("petersen"), (2, 3)),
+])
+def test_sweep_never_forms_a_built_edge_set(formed_edge_sets, entry):
+    report = sweep([entry], [0.3])
+    assert report.all_passed and not formed_edge_sets
+
+
+def test_cospectral_family_never_forms_a_built_edge_set(formed_edge_sets):
+    report = cospectral_cvjoin_family(generate("shrikhande"), generate("rook4x4"),
+                                      generate("path", [3]), [0.3, Fraction(1, 3)])
+    assert report.all_passed and not formed_edge_sets

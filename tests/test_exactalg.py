@@ -85,6 +85,21 @@ def test_charpoly_exact_scaling():
     assert coeffs == [Fraction(-1, 9), Fraction(-1, 2), Fraction(1)]
 
 
+def test_charpoly_exact_reads_entries_by_value_not_by_object():
+    # the same matrix as shared objects, as fresh objects from a generator
+    # whose rows are freed once read, and with exact float and int entries
+    values = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
+              [Fraction(1, 3), Fraction(2), Fraction(-3, 4)],
+              [Fraction(0), Fraction(-3, 4), Fraction(1, 2)]]
+    shared = np.empty((3, 3), dtype=object)
+    shared[:] = values
+    fresh = ([Fraction(x.numerator, x.denominator) for x in row] for row in values)
+    mixed = [[0.5, Fraction(1, 3), 0], [Fraction(1, 3), 2, -0.75], [0, -0.75, 0.5]]
+    want = charpoly_exact(values)
+    assert charpoly_exact(shared) == charpoly_exact(fresh) == charpoly_exact(mixed) == want
+    _assert_charpoly_matches_det(values, want, [Fraction(2), Fraction(-1, 2)])
+
+
 def test_charpoly_exact_agrees_with_determinant():
     rng = random.Random(3)
     for n in (2, 4, 6):

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,3 +123,41 @@ def test_kpq_join_closed_form_matches_eigensolver(g1, p, q, a):
 def test_any_join_closed_form_matches_eigensolver(g1, g2, a):
     closed = spectrum_cvjoin_regular(g1, g2, a)
     assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH
+
+
+def _built_edges_by_definition(g1, g2=None):
+    """The edge set of central_graph(g1), or of central_vertex_join(g1, g2),
+    written out from the definitions with plain Python sets."""
+    n, e1 = g1.n, sorted(g1.edges)
+    edges = {(i, n + k) for k, pair in enumerate(e1) for i in pair}
+    edges |= {pair for pair in combinations(range(n), 2) if pair not in g1.edges}
+    if g2 is not None:
+        off = n + len(e1)
+        edges |= {(off + i, off + j) for i, j in g2.edges}
+        edges |= {(i, off + v) for i in range(n) for v in range(g2.n)}
+    return frozenset(edges)
+
+
+@SETTINGS
+@given(g1=any_graphs(max_order=10), g2=any_graphs(max_order=6))
+def test_built_graphs_match_their_definition(g1, g2):
+    for built, second in ((central_graph(g1), None), (central_vertex_join(g1, g2), g2)):
+        want = _built_edges_by_definition(g1, second)
+        A = built._adjacency
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+        # the count and the degrees come from the matrix, before the edge set exists
+        assert "edges" not in vars(built)
+        degrees = [0] * built.n
+        for i, j in want:
+            degrees[i] += 1
+            degrees[j] += 1
+        assert built.m == len(want) and built.degree_sequence == degrees
+        assert built.edges == want
+        expected = np.zeros((built.n, built.n))
+        for i, j in want:
+            expected[i, j] = expected[j, i] = 1.0
+        assert np.array_equal(A, expected)
+        same = Graph.from_edges(built.n, want, built.label)
+        assert built == same and hash(built) == hash(same)
+        assert built.sorted_edges() == sorted(want)
