@@ -36,10 +36,16 @@ characteristic polynomial is F(x) prod(x - p) with
 so its roots are the eigenvalues of the block: real by construction, and
 two close but distinct roots are never merged. Each base-eigenvalue
 quadratic is the 2x2 arrowhead with t = a(n1+n2) - (1-a) l_j - 1, pole 2a
-and weight (1-a)^2 (l_j + r1), built for every l at once; each
-"g2-eigenvalue" factor is a 1x1 one. Factors of one kind form an
-ArrowheadStack, rooted by one batched eigvalsh and checked by one secular
-sign test.
+and weight (1-a)^2 (l_j + r1); each "g2-eigenvalue" factor is linear, and
+its root a n1 + mu_i is taken as it is. Every other factor of one case is
+one row of a single ArrowheadStack of block size 2 + k (k the number of
+cells below): the n1 - 1 base-eigenvalue rows, each padded with k poles of
+weight 0 at n1 + n2, and last the arrowhead below. The built graph's
+largest degree, at most n1 + n2 - 1, bounds its spectral radius, so the
+padding poles lie above every root; they leave the secular function
+unchanged, their eigenvalues come last in each row and are dropped by
+position. One batched eigvalsh and one secular sign test root the whole
+case.
 
 The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
 K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
@@ -71,8 +77,9 @@ check compares the quotient block with the bracket.
 
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
 Perron copy dropped; CLUSTER_TOL grouping only names and counts the factors
-(factors, to_json) and never moves a root. Every root is checked against its
-factor in secular form, to TOL_ROOT.
+(factors, to_json, through per-kind views of the one stack) and never moves
+a root. Every root is checked against its factor in secular form, to
+TOL_ROOT.
 """
 
 from __future__ import annotations
@@ -109,8 +116,8 @@ _ENDS = np.array([1.0, -1.0])[:, None, None]  # rows z - h and -(z + h) of Arrow
 
 @dataclass(frozen=True, eq=False)
 class ArrowheadStack:
-    """K factors of degree d, factor i the characteristic polynomial of the
-    symmetric d x d arrowhead blocks[i].
+    """K factors, factor i the characteristic polynomial of the symmetric
+    d x d arrowhead blocks[i].
 
     Row i has the secular function F(x) = x - t[i] - sum(weights[i] / (x -
     poles[i])) and the factor F(x) prod(x - poles[i]); blocks[i] holds the
@@ -119,7 +126,10 @@ class ArrowheadStack:
     when given, is the eigenvalue each row comes from, descending: rows
     whose keys lie within CLUSTER_TOL are listed as one factor with
     multiplicity, labelled "label key". Without keys the K factors are
-    equal.
+    equal. kept, unless True, marks the eigenvalues of each block that are
+    roots of its factor: a row padded to the block size d has poles of
+    weight 0 above every root of its factor, which leave F unchanged and
+    are the block's last eigenvalues, not kept.
     """
 
     label: str
@@ -128,6 +138,7 @@ class ArrowheadStack:
     poles: np.ndarray
     weights: np.ndarray
     keys: np.ndarray = None
+    kept: object = True
 
     @property
     def degree(self):
@@ -139,38 +150,42 @@ class ArrowheadStack:
 
     def roots(self):
         """(K, d) array; row i holds the eigenvalues of blocks[i], ascending,
-        each within h = TOL_ROOT * max(1, |z|max of the row) of a root of
-        factor i. A degree-1 row is its own root and is returned unchecked.
+        each within h = TOL_ROOT * max(1, |z|max over the row's kept
+        eigenvalues) of a root of factor i. A degree-1 row is its own root
+        and is returned unchecked.
 
         F increases on each pole-free piece of [lo, hi] = [z - h, z + h] and
         runs from -inf to +inf between two poles, so the interval holds a
-        root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2; a
-        pole of weight 0 is itself a root. -F(hi) is the secular function
-        with t and the poles negated, taken at -hi, so at both ends the
-        denominators are the end minus a pole: where an end falls on a pole
-        that is +0, which gives F's limit from inside the interval. An end
-        on a pole of weight 0 gives nan and counts as neither sign. No
-        coefficient or product over the poles is formed, so the bound holds
-        at any degree and any pole multiplicity.
+        root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2. A
+        pole of weight 0 is itself a root, as the factor vanishes there, so
+        an eigenvalue equal to one (a padding pole, or the pole 2a of a
+        bipartite base's row) passes without the count. -F(hi) is the
+        secular function with t and the poles negated, taken at -hi, so at
+        both ends the denominators are the end minus a pole: where an end
+        falls on a pole that is +0, which gives F's limit from inside the
+        interval. An end on a pole of weight 0 gives nan and counts as
+        neither sign. No coefficient or product over the poles is formed, so
+        the bound holds at any degree and any pole multiplicity.
         """
         if self.degree == 1:
             return self.blocks[:, :, 0]
         z = np.linalg.eigvalsh(self.blocks)
-        h = TOL_ROOT * np.maximum(1.0, np.maximum(-z[:, :1], z[:, -1:]))
+        h = TOL_ROOT * np.abs(z).max(axis=1, keepdims=True, initial=1.0, where=self.kept)
         y = _ENDS * z - h
         p, w = self.poles[:, None, :], self.weights[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = y[..., None] - _ENDS[..., None] * p
             signs = y - _ENDS * self.t[:, None] <= (w / d).sum(axis=-1)
-        if signs.all():
+        ok = signs.all(axis=0) | ((z[..., None] == p) & (w == 0)).any(axis=-1)
+        if ok.all():
             return z
         inside = (d < 0).all(axis=0).sum(axis=-1)  # lo < p and p < hi
-        bad = signs.sum(axis=0) + inside < 2
+        bad = ~ok & (signs.sum(axis=0) + inside < 2)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise InternalCheckError(
-                f"{self.label} root {z[i, j]:.6g} is not within {h[i, 0]:.3e} of a "
-                "root of its factor in secular form")
+                f"{self.label} root {z[i, j]:.6g} in row {i} is not within {h[i, 0]:.3e} "
+                "of a root of its factor in secular form")
         return z
 
     def groups(self):
@@ -209,38 +224,45 @@ class ArrowheadStack:
         return tuple(out[::-1].tolist())
 
 
-def _arrowheads(label, corner, t, poles, weights, keys=None):
-    """The stack of blocks [[corner, sqrt(w)^T], [sqrt(w), diag(p)]] against
-    the factors of (t, poles, weights): poles and weights are (K, d - 1)
-    arrays, t has length K and corner broadcasts to it."""
-    k, m = poles.shape
-    blocks = np.zeros((k, m + 1, m + 1))
-    blocks[:, 0, 0] = corner
-    blocks.reshape(k, (m + 1) ** 2)[:, m + 2::m + 2] = poles  # the diagonal past the corner
-    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.sqrt(weights)
-    return ArrowheadStack(label, blocks, t, poles, weights, keys)
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredCharPoly:
     """Characteristic polynomial in factored form.
 
     linear_root/linear_mult hold the (x - 2 alpha)^k subdivision factor
-    (mult may be zero); families hold every other factor as ArrowheadStacks,
-    each rooted by its own blocks. The factor degrees always sum to the
-    order of the implied matrix; construction fails rather than pad.
+    (mult may be zero), and shifted the roots of the linear "g2-eigenvalue"
+    factors, keyed by mu. stack holds every other factor as one row: first
+    the base-eigenvalue quadratics, keyed by stack.keys and padded to the
+    block size of the last row, then the factor named label. The factor
+    degrees always sum to the order of the implied matrix; construction
+    fails rather than pad.
     """
 
     linear_root: float
     linear_mult: int
-    families: tuple
+    shifted: np.ndarray
+    mu: np.ndarray
+    stack: ArrowheadStack
+    label: str
     order: int
 
     def __post_init__(self):
-        total = self.linear_mult + sum(f.degree * f.count for f in self.families)
+        total = self.linear_mult + len(self.shifted) + np.count_nonzero(self.stack.kept)
         if total != self.order:
             raise InternalCheckError(
                 f"factor degrees sum to {total}, expected matrix order {self.order}")
+
+    @cached_property
+    def families(self):
+        """The factors by kind, each an ArrowheadStack over the same arrays:
+        the g2-eigenvalue linear factors, the base-eigenvalue quadratics
+        (the stack's rows but the last, without their padding) and the
+        last row."""
+        s, b, x = self.stack, self.stack.count - 1, self.shifted
+        none = np.empty((len(x), 0))
+        return (ArrowheadStack("g2-eigenvalue", x[:, None, None], x, none, none, self.mu),
+                ArrowheadStack("base-eigenvalue", s.blocks[:b, :2, :2], s.t[:b],
+                               s.poles[:b, :1], s.weights[:b, :1], s.keys),
+                ArrowheadStack(self.label, s.blocks[b:], s.t[b:], s.poles[b:], s.weights[b:]))
 
     @cached_property
     def factors(self):
@@ -255,20 +277,21 @@ class FactoredCharPoly:
         return val
 
     def roots(self):
-        """All roots with multiplicity as an array, descending, from the
-        symmetric blocks."""
-        parts = [np.full(self.linear_mult, float(self.linear_root))]
-        parts += [fam.roots().ravel() for fam in self.families]
+        """All roots with multiplicity as an array, descending: the linear
+        roots as they are, and every other root from one rooting of the
+        stack, each row's padding dropped by position."""
+        parts = [np.full(self.linear_mult, float(self.linear_root)), self.shifted,
+                 self.stack.roots()[self.stack.kept]]
         return np.sort(np.concatenate(parts))[::-1]
 
     def factor_roots(self):
-        """(label, roots descending) for each entry of factors, from the same
-        blocks as roots()."""
+        """(label, roots descending) for each entry of factors, from the one
+        rooting of the stack that roots() makes."""
+        z = self.stack.roots()
         out = []
-        for fam in self.families:
-            z = fam.roots()
+        for fam, rooted in zip(self.families, (self.shifted[:, None], z[:-1, :2], z[-1:])):
             for label, start, mult in fam.groups():
-                out.append((label, sorted(z[start:start + mult].ravel().tolist(),
+                out.append((label, sorted(rooted[start:start + mult].ravel().tolist(),
                                           reverse=True)))
         return out
 
@@ -309,25 +332,33 @@ def _charpoly_join(G1, r1, a, mu, v, c, label):
     """The factorization of the module docstring for G1 joined with a second
     graph given only by its split: mu the n2 - k eigenvalues of A_alpha(G2)
     orthogonal to the cell-constant vectors, descending, and (v, c) the k
-    cell-constant eigenpairs. label names the arrowhead's factor."""
+    cell-constant eigenpairs. label names the arrowhead's factor, the last
+    row of the one padded stack."""
     n1, m1 = G1.n, G1.m
-    n2 = len(mu) + len(v)
-    shifted, no_poles = a * n1 + mu, np.empty((len(mu), 0))
+    n2, d = len(mu) + len(v), 2 + len(v)
     # adjacency eigenvalues of G1 but the Perron root r1, descending
     l = G1._adjacency_eigenvalues[-2::-1]
-    t = a * (n1 + n2) - (1 - a) * l - 1
+    b = (1 - a) ** 2
+    blocks = np.zeros((n1, d, d))
+    diagonal = blocks.reshape(n1, d * d)[:, ::d + 1]  # the corner, then the poles
+    diagonal[:, 1] = 2 * a
+    diagonal[:-1, 2:] = n1 + n2
+    diagonal[-1, 2:] = a * n1 + v
+    diagonal[:-1, 0] = a * (n1 + n2) - (1 - a) * l - 1
+    diagonal[-1, 0] = a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1)
+    t = diagonal[:, 0].copy()
+    t[-1] = n1 + a * n2 - (1 - a) * r1 - 1
+    weights = np.zeros((n1, d - 1))
     # l >= -r1 for an r1-regular graph; a rounding undershoot would give nan
-    base_weights = (1 - a) ** 2 * np.maximum(l + r1, 0.0)
-    poles = np.concatenate(([2 * a], a * n1 + v))
-    weights = np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))
-    corner = a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1)
-    families = (
-        _arrowheads("g2-eigenvalue", shifted, shifted, no_poles, no_poles, keys=mu),
-        _arrowheads("base-eigenvalue", t, t, np.full((len(l), 1), 2 * a),
-                    base_weights[:, None], keys=l),
-        _arrowheads(label, corner, np.array([n1 + a * n2 - (1 - a) * r1 - 1]),
-                    poles[None], weights[None]))
-    return FactoredCharPoly(2 * a, m1 - n1, families, n1 + m1 + n2)
+    weights[:-1, 0] = b * np.maximum(l + r1, 0.0)
+    weights[-1, 0] = 2 * r1 * b
+    weights[-1, 1:] = n1 * b * c
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.sqrt(weights)
+    kept = np.ones((n1, d), dtype=bool)
+    kept[:-1, 2:] = False
+    stack = ArrowheadStack(f"base-eigenvalue and {label}", blocks, t, diagonal[:, 1:],
+                           weights, l, kept)
+    return FactoredCharPoly(2 * a, m1 - n1, a * n1 + mu, mu, stack, label, n1 + m1 + n2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +386,7 @@ def charpoly_central_regular(G, alpha):
 def spectrum_central_regular(G, alpha):
     """Spectrum of A_alpha(central_graph(G)) from the factorization; the
     result has exactly n + m values."""
-    return Spectrum.from_values(charpoly_central_regular(G, alpha).roots())
+    return Spectrum(tuple(charpoly_central_regular(G, alpha).roots().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +457,10 @@ def spectrum_cvjoin_regular(G1, G2, alpha):
     2(n1 - 1) roots of the base-eigenvalue blocks, and the 2 + k
     eigenvalues of the coronal arrowhead.
     """
-    return Spectrum.from_values(charpoly_cvjoin(G1, G2, alpha).roots())
+    return Spectrum(tuple(charpoly_cvjoin(G1, G2, alpha).roots().tolist()))
 
 
 def spectrum_cvjoin_kpq(G1, p, q, alpha):
     """Spectrum of A_alpha(central_vertex_join(G1, K_{p,q})); the coronal
     factor over the parts {P, Q} contributes four roots."""
-    return Spectrum.from_values(charpoly_cvjoin(G1, (p, q), alpha).roots())
+    return Spectrum(tuple(charpoly_cvjoin(G1, (p, q), alpha).roots().tolist()))

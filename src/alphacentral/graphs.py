@@ -95,10 +95,7 @@ class Graph:
         # only reached for a matrix-born graph's edge set, on its first read
         if name != "edges" or "_adjacency" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        I, J = _edge_index(self._adjacency)
-        vertex = list(range(self.n))  # one int object per vertex, shared by its edges
-        edges = self.__dict__["edges"] = frozenset(
-            zip(map(vertex.__getitem__, I.tolist()), map(vertex.__getitem__, J.tolist())))
+        edges = self.__dict__["edges"] = frozenset(_edge_pairs(self._adjacency))
         return edges
 
     @property
@@ -106,7 +103,11 @@ class Graph:
         return sum(self._degrees) // 2
 
     def sorted_edges(self):
-        """Edges in lexicographic order; fixes incidence column order."""
+        """Edges in lexicographic order; fixes incidence column order. A
+        graph whose adjacency matrix is at hand reads them off the matrix,
+        so a matrix-born graph's edge set stays unformed."""
+        if "_adjacency" in self.__dict__:
+            return list(_edge_pairs(self._adjacency))
         return sorted(self.edges)
 
     def has_edge(self, i, j):
@@ -299,6 +300,14 @@ def _edge_index(A):
     return I[upper], J[upper]
 
 
+def _edge_pairs(A):
+    """The edges of the adjacency matrix A as (i, j) pairs, lexicographic,
+    with one int object per vertex shared by its edges."""
+    I, J = _edge_index(A)
+    vertex = list(range(A.shape[0]))
+    return zip(map(vertex.__getitem__, I.tolist()), map(vertex.__getitem__, J.tolist()))
+
+
 def adjacency_matrix(G):
     """Symmetric 0/1 adjacency matrix with zero diagonal (float64); a copy
     the caller owns."""
@@ -329,7 +338,10 @@ def regularity(G):
 
 
 def _neighbours(G):
-    """Adjacency lists of G."""
+    """Adjacency lists of G: the rows of its adjacency matrix when that is
+    at hand, so a matrix-born graph's edge set stays unformed."""
+    if "_adjacency" in G.__dict__:
+        return [np.flatnonzero(row).tolist() for row in G._adjacency]
     adj = [[] for _ in range(G.n)]
     for i, j in G.edges:
         adj[i].append(j)

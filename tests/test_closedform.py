@@ -10,10 +10,11 @@ from alphacentral import (Graph, InternalCheckError, PreconditionError,
                           a_alpha_matrix, adjacency_matrix, central_graph,
                           central_vertex_join, char_poly,
                           charpoly_central_regular, charpoly_cvjoin,
-                          eigenvalues_sym, equitable_partition, generate,
+                          default_catalog, eigenvalues_sym,
+                          equitable_partition, generate, regularity,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
-from alphacentral.closedform import TOL_MATCH, _arrowheads, _g2_split
+from alphacentral.closedform import TOL_MATCH, ArrowheadStack, _g2_split
 from alphacentral.exactalg import det_exact
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
@@ -29,6 +30,18 @@ def _max_dev(spec1, spec2):
 
 
 # --- block roots
+
+def _arrowheads(label, corner, t, poles, weights):
+    """The stack of blocks [[corner, sqrt(w)^T], [sqrt(w), diag(p)]] against
+    the factors of (t, poles, weights): poles and weights are (K, d - 1)
+    arrays, t has length K and corner broadcasts to it."""
+    k, m = poles.shape
+    blocks = np.zeros((k, m + 1, m + 1))
+    blocks[:, 0, 0] = corner
+    blocks.reshape(k, (m + 1) ** 2)[:, m + 2::m + 2] = poles  # the diagonal past the corner
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.sqrt(weights)
+    return ArrowheadStack(label, blocks, t, poles, weights)
+
 
 def _quadratic_stack(corner, t, pole, weight):
     """A stack of 2x2 arrowheads [[corner, sqrt(weight)], [., pole]]
@@ -73,6 +86,138 @@ def test_block_disagreeing_with_factor_raises():
     fam = _quadratic_stack([0.0, 1.0], [0.0, 1.001], [0.0, 3.0], [1.0, 0.0])
     with pytest.raises(InternalCheckError, match="test root 1 "):
         fam.roots()
+
+
+# --- one arrowhead stack per case
+
+def _move_one_root(monkeypatch, row, col, by=1e-6):
+    """Make np.linalg.eigvalsh return one eigenvalue of its stack moved."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def moved(blocks):
+        z = eigvalsh(blocks)
+        z[row, col] += by
+        return z
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+
+
+def test_root_on_a_weight_zero_pole_passes_and_one_off_it_is_refused(monkeypatch):
+    # diag(1, 0.3) against (x - 0.3)(x - 1): the pole 0.3 has weight 0, so
+    # the factor vanishes there and the eigenvalue 0.3 on it is a root
+    fam = _quadratic_stack([1.0], [1.0], [0.3], [0.0])
+    assert fam.roots().tolist() == [[0.3, 1.0]]
+    _move_one_root(monkeypatch, 0, 0)
+    with pytest.raises(InternalCheckError, match="test root 0.300001 in row 0"):
+        fam.roots()
+
+
+def test_root_on_a_pole_of_nonzero_weight_is_refused(monkeypatch):
+    # [[0, 1], [1, 0]] against x^2 - 1, whose pole 0 has weight 1: the
+    # factor is -1 there, so an eigenvalue moved onto the pole is no root
+    fam = _quadratic_stack([0.0], [0.0], [0.0], [1.0])
+    _move_one_root(monkeypatch, 0, 0, by=1.0)
+    with pytest.raises(InternalCheckError, match="test root 0 in row 0"):
+        fam.roots()
+
+
+def _catalog_case(entry, a):
+    """(G1, second graph or None, FactoredCharPoly, Spectrum) of a catalog
+    entry, the spectrum from the public spectrum function."""
+    if isinstance(entry, Graph):
+        return entry, None, charpoly_central_regular(entry, a), spectrum_central_regular(entry, a)
+    g1, second = entry
+    spectrum = (spectrum_cvjoin_kpq(g1, *second, a) if isinstance(second, tuple)
+                else spectrum_cvjoin_regular(g1, second, a))
+    return g1, second, charpoly_cvjoin(g1, second, a), spectrum
+
+
+def _per_family_roots(g1, second, a):
+    """The closed-form roots with each factor family rooted on its own: the
+    g2-eigenvalue roots, one eigvalsh of the n1 - 1 unpadded 2 x 2
+    base-eigenvalue blocks and one of the (2 + k) x (2 + k) arrowhead, each
+    entry from the same expression as the one stack's."""
+    n1, r1 = g1.n, regularity(g1)
+    mu, v, c = (np.empty(0),) * 3 if second is None else _g2_split(second, a)
+    n2 = len(mu) + len(v)
+    l = g1._adjacency_eigenvalues[-2::-1]
+    t = a * (n1 + n2) - (1 - a) * l - 1
+    base = _arrowheads("base-eigenvalue", t, t, np.full((len(l), 1), 2 * a),
+                       ((1 - a) ** 2 * np.maximum(l + r1, 0.0))[:, None])
+    last = _arrowheads("last", a * (n1 - 1 + n2) + (1 - a) * (n1 - 1 - r1),
+                       np.array([n1 + a * n2 - (1 - a) * r1 - 1]),
+                       np.concatenate(([2 * a], a * n1 + v))[None],
+                       np.concatenate(([2 * r1 * (1 - a) ** 2], n1 * (1 - a) ** 2 * c))[None])
+    roots = np.concatenate([np.full(g1.m - n1, 2 * a), a * n1 + mu,
+                            base.roots().ravel(), last.roots().ravel()])
+    return np.sort(roots)[::-1]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 1.0])
+def test_one_stack_changes_no_root(a):
+    # padding the base rows into the arrowhead's stack changes no bit of any
+    # root: against the families rooted one by one, against the lazy family
+    # views, and in the public spectrum
+    for entry in default_catalog():
+        g1, second, fac, spectrum = _catalog_case(entry, a)
+        got = fac.roots()
+        assert got.tobytes() == _per_family_roots(g1, second, a).tobytes(), entry
+        views = [np.full(fac.linear_mult, fac.linear_root)]
+        views += [fam.roots().ravel() for fam in fac.families]
+        assert np.sort(np.concatenate(views))[::-1].tobytes() == got.tobytes(), entry
+        assert np.array(spectrum.values).tobytes() == got.tobytes(), entry
+
+
+def _where(fac, row_kind):
+    """(row, column) of one eigenvalue of fac.stack: a base row's root, the
+    last row's, a bipartite base's root on its pole 2a of weight 0, or a
+    base row's padding eigenvalue."""
+    s = fac.stack
+    z = s.roots()
+    if row_kind == "base":
+        return 0, 0
+    if row_kind == "last":
+        return s.count - 1, s.degree - 1
+    if row_kind == "weight-0":
+        (row,) = np.flatnonzero(s.weights[:-1, 0] == 0)
+        (col,) = np.flatnonzero(z[row] == fac.linear_root)
+        return row, col
+    assert not s.kept[0, -1] and s.weights[0, -1] == 0
+    return 0, s.degree - 1
+
+
+@pytest.mark.parametrize("row_kind,g1,second", [
+    ("base", "petersen", "cycle:5"),
+    ("last", "petersen", "cycle:5"),
+    ("last", "cycle:4", None),
+    ("weight-0", "cycle:4", None),
+    ("weight-0", "cycle:4", "complete:3"),
+    ("padded", "petersen", "cycle:5"),
+    ("padded", "cycle:4", "complete_bipartite:2,3"),
+])
+def test_secular_check_bites_on_every_kind_of_stack_row(monkeypatch, row_kind, g1, second):
+    def load(spec):
+        name, _, params = spec.partition(":")
+        return generate(name, [int(p) for p in params.split(",")] if params else [])
+    g1 = load(g1)
+    fac = (charpoly_central_regular(g1, 0.37) if second is None
+           else charpoly_cvjoin(g1, load(second), 0.37))
+    row, col = _where(fac, row_kind)
+    label = "principal" if second is None else "coronal"
+    _move_one_root(monkeypatch, row, col)
+    with pytest.raises(InternalCheckError, match=f"base-eigenvalue and {label} root .* in row {row} "):
+        fac.roots()
+
+
+def test_padding_leaves_each_rows_check_interval_alone(monkeypatch):
+    # Petersen v C5 at 0.37: base row 0 has roots 0.30 and 4.36, so its check
+    # interval is h = 4.36e-10; its padding eigenvalue 15 would give 1.5e-9.
+    # A root moved by 1e-9 lies between the two and must be refused
+    fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.37)
+    z = fac.stack.roots()
+    assert z[0, 1] < 5 and z[0, 2] == 15.0
+    _move_one_root(monkeypatch, 0, 0, by=1e-9)
+    with pytest.raises(InternalCheckError, match="in row 0 is not within 4.359e-10"):
+        fac.roots()
 
 
 # --- central graph closed form

@@ -5,8 +5,10 @@ import pytest
 
 from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix,
                           central_graph, central_vertex_join, complement,
-                          cospectral_cvjoin_family, eigenvalues_sym, generate,
-                          incidence_matrix, is_connected, spectra_equal, sweep)
+                          cospectral_cvjoin_family, eigenvalues_sym,
+                          equitable_partition, format_edge_list, generate,
+                          incidence_matrix, is_connected, parse_edge_list,
+                          spectra_equal, sweep)
 
 
 def test_central_k3_is_a_six_cycle():
@@ -143,3 +145,30 @@ def test_cospectral_family_never_forms_a_built_edge_set(formed_edge_sets):
     report = cospectral_cvjoin_family(generate("shrikhande"), generate("rook4x4"),
                                       generate("path", [3]), [0.3, Fraction(1, 3)])
     assert report.all_passed and not formed_edge_sets
+
+
+def test_is_connected_leaves_the_edge_set_unformed(formed_edge_sets):
+    c = central_graph(generate("complete", [3]))
+    assert is_connected(c) and not formed_edge_sets
+    j = central_vertex_join(generate("cycle", [4]), generate("path", [3]))
+    # the refinement reads the adjacency rows too; V1, S and the two cells
+    # of P3 (ends, middle) stay apart
+    assert len(equitable_partition(j)) == 4 and not formed_edge_sets
+    assert not is_connected(complement(generate("complete", [3]))) and not formed_edge_sets
+
+
+@pytest.mark.parametrize("make", [
+    lambda: central_graph(generate("cycle", [5])),
+    lambda: central_vertex_join(generate("petersen"), generate("path", [4])),
+    lambda: complement(generate("petersen")),
+], ids=["C(C5)", "Petersen vjoin P4", "co-Petersen"])
+def test_matrix_born_edge_list_reads_the_matrix(formed_edge_sets, make):
+    G = make()
+    text, R = format_edge_list(G), incidence_matrix(G)
+    assert not formed_edge_sets
+    # the same graph born from its edges prints and incides the same
+    same = Graph(G.n, G.edges, G.label)
+    assert text == format_edge_list(same)
+    assert np.array_equal(R, incidence_matrix(same))
+    assert G.sorted_edges() == sorted(same.edges)
+    assert parse_edge_list(text) == Graph(G.n, G.edges)
