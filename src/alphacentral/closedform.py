@@ -59,11 +59,17 @@ the all-ones vector, and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2), so
 its split is affine in alpha over its adjacency spectrum lambda: mu = alpha
 r2 + (1 - alpha) lambda with one copy of r2 dropped, v = [r2], c = [n2].
 The shift moves only the eigenvalue of the all-ones vector, so this is the
-same split without an eigensolve per alpha. The adjacency spectra of G1 and
-of a regular G2 are each solved once per Graph instance and kept on it
-(graphs.Graph), so a sweep over alphas solves neither again. The last
-bracket times the k linear factors it cancels is the characteristic
-polynomial of the arrowhead
+same split without an eigensolve per alpha. K_{p,q} given as (p, q) is
+split explicitly: A(K_{p,q}) is zero on the vectors that sum to zero on
+each part, so mu is alpha q with multiplicity p - 1 and alpha p with
+multiplicity q - 1, and (v, c) come from the 2x2 symmetrized quotient
+[[alpha q, (1 - alpha) sqrt(pq)], [(1 - alpha) sqrt(pq), alpha p]] over the
+parts, with c_i = (u_i . (sqrt p, sqrt q))^2 for its unit eigenvectors
+u_i, found by one Jacobi rotation. So only a non-regular Graph G2 pays an
+eigensolve per alpha. The adjacency spectra of G1 and of a regular G2 are
+each solved once per Graph instance and kept on it (graphs.Graph), so a
+sweep over alphas solves neither again. The last bracket times the k
+linear factors it cancels is the characteristic polynomial of the arrowhead
 
     [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
      [.,                            2a,                0                 ],
@@ -76,21 +82,23 @@ expression while t = n1 + a n2 - (1-a) r1 - 1 keeps the bracket's, so the
 check compares the quotient block with the bracket.
 
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
-Perron copy dropped; CLUSTER_TOL grouping only names and counts the factors
-(factors, to_json, through per-kind views of the one stack) and never moves
-a root. Every root is checked against its factor in secular form, to
-TOL_ROOT.
+Perron copy dropped. In A(G1) each bipartite component's -r1 is exact, so
+its base row has weight 0 and its root 2a lies on its pole. CLUSTER_TOL
+grouping only names and counts the factors (factors, to_json, through
+per-kind views of the one stack) and never moves a root. Every root is
+checked against its factor in secular form, to TOL_ROOT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
-from .graphs import generate, regularity
+from .errors import InternalCheckError, ParameterError, PreconditionError
+from .graphs import regularity
 from .spectra import Spectrum, _check_alpha, _coronal_spectral, a_alpha_matrix
 
 TOL_MATCH = 1e-8
@@ -158,8 +166,9 @@ class ArrowheadStack:
         runs from -inf to +inf between two poles, so the interval holds a
         root iff [F(lo) <= 0] + [-F(hi) <= 0] + (poles in (lo, hi)) >= 2. A
         pole of weight 0 is itself a root, as the factor vanishes there, so
-        an eigenvalue equal to one (a padding pole, or the pole 2a of a
-        bipartite base's row) passes without the count. -F(hi) is the
+        an eigenvalue whose interval holds one (a padding pole, the pole 2a
+        of a bipartite base's row, or the cell pole of K_{p,p} that the
+        all-ones vector misses) passes without the count. -F(hi) is the
         secular function with t and the poles negated, taken at -hi, so at
         both ends the denominators are the end minus a pole: where an end
         falls on a pole that is +0, which gives F's limit from inside the
@@ -176,9 +185,16 @@ class ArrowheadStack:
         with np.errstate(divide="ignore", invalid="ignore"):
             d = y[..., None] - _ENDS[..., None] * p
             signs = y - _ENDS * self.t[:, None] <= (w / d).sum(axis=-1)
-        ok = signs.all(axis=0) | ((z[..., None] == p) & (w == 0)).any(axis=-1)
-        if ok.all():
-            return z
+        ok = signs.all(axis=0) | ((d <= 0).all(axis=0) & (w == 0)).any(axis=-1)
+        if not ok.all():
+            self._count_poles(z, h, d, signs, ok)
+        return z
+
+    def _count_poles(self, z, h, d, signs, ok):
+        """The pole count of roots' check, for the eigenvalues that the end
+        signs and the weight-0 poles left unproven (~ok). d holds each
+        interval's ends minus the poles, so a pole inside the interval has
+        d < 0 at both ends. Raises on the first eigenvalue without a root."""
         inside = (d < 0).all(axis=0).sum(axis=-1)  # lo < p and p < hi
         bad = ~ok & (signs.sum(axis=0) + inside < 2)
         if bad.any():
@@ -186,7 +202,6 @@ class ArrowheadStack:
             raise InternalCheckError(
                 f"{self.label} root {z[i, j]:.6g} in row {i} is not within {h[i, 0]:.3e} "
                 "of a root of its factor in secular form")
-        return z
 
     def groups(self):
         """(label, first row, multiplicity) per distinct factor."""
@@ -395,44 +410,78 @@ def spectrum_central_regular(G, alpha):
 def _g2_split(g2, a):
     """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
-    g2 is any Graph, or a (p, q) tuple for K_{p,q}. For an r2-regular Graph
-    the coarsest equitable partition is one cell, spanned by the all-ones
-    vector, and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2) shares A(G2)'s
-    eigenvectors. So the split is affine in alpha over the graph's cached,
-    checked adjacency spectrum: mu = alpha r2 + (1 - alpha) lambda with one
-    copy of r2 dropped, v = [r2] and c = [n2], since 1 is an r2-eigenvector
-    with (1^T 1)^2 / n2 = n2. This is exactly what the shifted
-    eigendecomposition below finds for one cell, up to rounding.
+    g2 is any Graph, or a (p, q) tuple for K_{p,q}. A tuple is split over
+    the parts {P, Q} in closed form, with no eigensolve (_kpq_split): mu is
+    alpha q with multiplicity p - 1 and alpha p with multiplicity q - 1, and
+    (v, c) come from the eigenpairs of the 2x2 quotient over the parts, so
+    the coronal factor of K_{p,q} is a quartic even when p = q.
 
-    Otherwise each vertex is coloured by its cell: the coarsest equitable
-    partition's colours from Graph._cell_colours, or the parts {P, Q} for a
-    tuple (so the coronal factor of K_{p,q} is a quartic even when p = q).
-    One checked eigendecomposition of A_alpha(G2) + sigma P splits, by
-    index, into the n2 - k eigenvalues orthogonal to the cell-constant
-    vectors and the k cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as
-    in the coronal.
+    For an r2-regular Graph the coarsest equitable partition is one cell,
+    spanned by the all-ones vector, and A_alpha(G2) = alpha r2 I + (1 -
+    alpha) A(G2) shares A(G2)'s eigenvectors. So the split is affine in
+    alpha over the graph's cached, checked adjacency spectrum: mu = alpha r2
+    + (1 - alpha) lambda with one copy of r2 dropped, v = [r2] and c = [n2],
+    since 1 is an r2-eigenvector with (1^T 1)^2 / n2 = n2. This is exactly
+    what the shifted eigendecomposition below finds for one cell, up to
+    rounding.
+
+    Otherwise each vertex is coloured by its cell in the coarsest equitable
+    partition (Graph._cell_colours). One checked eigendecomposition of
+    A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
+    orthogonal to the cell-constant vectors and the k cell-constant pairs
+    (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
     """
     if isinstance(g2, tuple):
-        p, q = g2
-        G2, colour = generate("complete_bipartite", [p, q]), [0] * p + [1] * q
-    else:
-        r2 = regularity(g2)
-        if r2 is not None:
-            # every adjacency eigenvalue but the largest (a copy of r2), descending
-            mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
-            return mu, np.array([float(r2)]), np.array([float(g2.n)])
-        G2, colour = g2, g2._cell_colours
-    n2, k = G2.n, max(colour) + 1
+        return _kpq_split(*g2, a)
+    r2 = regularity(g2)
+    if r2 is not None:
+        # every adjacency eigenvalue but the largest (a copy of r2), descending
+        mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
+        return mu, np.array([float(r2)]), np.array([float(g2.n)])
+    n2, colour = g2.n, g2._cell_colours
+    k = max(colour) + 1
 
     # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at
     # most its largest degree, so the cell-constant eigenvalues come last
-    M = a_alpha_matrix(G2, a)
+    M = a_alpha_matrix(g2, a)
     sigma = 2 * M.sum(axis=1).max() + 1
     colour = np.array(colour)
     same = colour[:, None] == colour
     M += sigma * (same / same.sum(axis=1))
     w, c = _coronal_spectral(M)
     return w[:n2 - k][::-1], w[n2 - k:] - sigma, c[n2 - k:]
+
+
+def _kpq_split(p, q, a):
+    """The split of K_{p,q} over its parts {P, Q}, without an eigensolve.
+
+    A(K_{p,q}) is zero on every vector that sums to zero on each part, and
+    the degree is q on P and p on Q, so mu is a q with multiplicity p - 1
+    and a p with multiplicity q - 1. The two cell-constant pairs are those
+    of the symmetrized quotient B = [[a q, y], [y, a p]], y = (1 - a)
+    sqrt(pq), over the unit cell vectors 1_P / sqrt(p) and 1_Q / sqrt(q): a
+    unit eigenvector u of B is u_1 1_P / sqrt(p) + u_2 1_Q / sqrt(q) in
+    A_alpha(K_{p,q}), so c = (u_1 sqrt(p) + u_2 sqrt(q))^2. One Jacobi
+    rotation diagonalizes B (Golub and Van Loan, Matrix Computations,
+    section 8.5); it divides only by y, and B is diagonal where y = 0
+    (alpha = 1). The residues of coronal_kpq_alpha would instead divide by
+    the gap between B's eigenvalues, which is 0 at p = q, alpha = 1.
+    """
+    if p < 1 or q < 1:
+        raise ParameterError(f"complete_bipartite needs p, q >= 1, got ({p}, {q})")
+    (hi, n_hi), (lo, n_lo) = sorted(((a * q, p - 1), (a * p, q - 1)), reverse=True)
+    x, z, y = a * q, a * p, (1 - a) * math.sqrt(p * q)
+    t = 0.0  # tan of the rotation angle, at most 1 in size
+    if y:
+        tau = (z - x) / (2 * y)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    cos = 1 / math.sqrt(1 + t * t)
+    sin = t * cos
+    sp, sq = math.sqrt(p), math.sqrt(q)
+    # B (cos, -sin) = (x - t y)(cos, -sin) and B (sin, cos) = (z + t y)(sin, cos)
+    (v1, c1), (v2, c2) = sorted(((x - t * y, (cos * sp - sin * sq) ** 2),
+                                 (z + t * y, (sin * sp + cos * sq) ** 2)))
+    return np.array([hi] * n_hi + [lo] * n_lo), np.array([v1, v2]), np.array([c1, c2])
 
 
 def charpoly_cvjoin(G1, g2, alpha):

@@ -156,9 +156,18 @@ class Graph:
     @cached_property
     def _adjacency_eigenvalues(self):
         """Ascending eigenvalues of the adjacency matrix, read-only, from the
-        one checked eigensolver gate (spectra._eigh_checked)."""
+        one checked eigensolver gate (spectra._eigh_checked).
+
+        An r-regular graph has spectral radius r, and -r is an eigenvalue
+        once per bipartite component, so its smallest eigenvalues are -r
+        that many times. They are set to -r exactly, counted by an exact
+        2-colouring (_components), not by a threshold: the solver returns
+        -1.9999999999999996 for C6."""
         from . import spectra  # spectra imports this module
         w = spectra._eigh_checked(self._adjacency)[0]
+        r = self._regularity
+        if r:
+            w[:sum(bipartite for _, bipartite in _components(self))] = -r
         w.flags.writeable = False
         return w
 
@@ -283,9 +292,24 @@ def parse_edge_list(text):
 
 
 def format_edge_list(G):
-    """Serialize a Graph to the edge-list format; parse(format(G)) == G."""
+    """Serialize a Graph to the edge-list format; parse(format(G)) == G.
+
+    The edges are written row by row from two endpoint arrays, read off the
+    adjacency matrix when it is at hand (_edge_index), so no (i, j) tuple is
+    made per edge: each vertex name is formed once, and the lines of row i
+    are one join of its later neighbours' names.
+    """
+    if "_adjacency" in G.__dict__:
+        I, J = _edge_index(G._adjacency)
+    else:
+        I, J = np.array(sorted(G.edges), dtype=np.int64).reshape(-1, 2).T
+    names = list(map(str, range(G.n)))
+    bounds = np.searchsorted(I, np.arange(G.n + 1)).tolist()
     out = [str(G.n)]
-    out.extend(f"{i} {j}" for i, j in G.sorted_edges())
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if start < stop:
+            head = names[i] + " "
+            out.append(head + ("\n" + head).join(map(names.__getitem__, J[start:stop].tolist())))
     return "\n".join(out) + "\n"
 
 
@@ -349,17 +373,31 @@ def _neighbours(G):
     return adj
 
 
-def is_connected(G):
+def _components(G):
+    """(size, bipartite) of each connected component of G, in order of its
+    first vertex, by breadth-first search with an exact 2-colouring: a
+    component is bipartite unless an edge joins two vertices of one
+    colour."""
     adj = _neighbours(G)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == G.n
+    side = [-1] * G.n
+    for s in range(G.n):
+        if side[s] >= 0:
+            continue
+        side[s], queue, size, bipartite = 0, deque([s]), 0, True
+        while queue:
+            v = queue.popleft()
+            size += 1
+            for w in adj[v]:
+                if side[w] < 0:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    bipartite = False
+        yield size, bipartite
+
+
+def is_connected(G):
+    return next(_components(G))[0] == G.n
 
 
 def equitable_partition(G):

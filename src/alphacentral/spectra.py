@@ -163,7 +163,8 @@ def a_alpha_matrix(G, alpha):
     Both modes start from G's cached adjacency matrix A, take D from its
     row sums, and return a new array the caller owns. A Fraction alpha
     selects exact mode and yields an object array of Fractions; a float
-    yields float64.
+    yields float64, filled as (1-alpha)*A with alpha*d_i then written onto
+    the zero diagonal: bit for bit the sum, with one temporary.
     """
     _check_alpha(alpha, allow_one=True)
     A = G._adjacency
@@ -174,7 +175,9 @@ def a_alpha_matrix(G, alpha):
         diag = {d: alpha * int(d) for d in set(deg.tolist())}
         M[np.diag_indices(G.n)] = [diag[d] for d in deg.tolist()]
         return M
-    return alpha * np.diag(deg) + (1.0 - alpha) * A
+    M = (1.0 - alpha) * A
+    M.reshape(-1)[::G.n + 1] = alpha * deg
+    return M
 
 
 def _check_alpha(alpha, allow_one):
@@ -190,12 +193,13 @@ def _check_alpha(alpha, allow_one):
 def eigenvalues_sym(M):
     """All eigenvalues of a symmetric matrix, descending, as a Spectrum.
 
-    Backed by numpy's symmetric eigensolver. The backward-stability
-    contract ||M V - V L||_F <= TOL_EIG * n * ||M||_2 is checked on every
-    call and raising InternalCheckError on violation.
+    Backed by numpy's symmetric eigensolver, whose eigenvalues come back
+    ascending, so they are reversed and not sorted again. The
+    backward-stability contract ||M V - V L||_F <= TOL_EIG * n * ||M||_2 is
+    checked on every call; a violation raises InternalCheckError.
     """
     w, _ = _eigh_checked(M)
-    return Spectrum.from_values(w[::-1])
+    return Spectrum(tuple(w[::-1].tolist()))
 
 
 def _eigh_checked(M):

@@ -6,16 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alphacentral import (Graph, InternalCheckError, PreconditionError,
+from alphacentral import (Graph, InternalCheckError, ParameterError, PreconditionError,
                           a_alpha_matrix, adjacency_matrix, central_graph,
                           central_vertex_join, char_poly,
                           charpoly_central_regular, charpoly_cvjoin,
-                          default_catalog, eigenvalues_sym,
+                          coronal_kpq_alpha, default_catalog, eigenvalues_sym,
                           equitable_partition, generate, regularity,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH, ArrowheadStack, _g2_split
 from alphacentral.exactalg import det_exact
+from alphacentral.verify import _closed_and_built
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
 
@@ -461,8 +462,10 @@ def test_cvjoin_preconditions():
         charpoly_cvjoin(generate("complete", [2]), generate("complete", [3]), 0.5)
     with pytest.raises(PreconditionError, match="regular"):
         charpoly_cvjoin(PAW, generate("complete", [3]), 0.5)
-    # G2 needs no precondition
+    # G2 needs no precondition; a (p, q) tuple must name a graph
     assert spectrum_cvjoin_regular(generate("complete", [3]), PAW, 0.5).n == 10
+    with pytest.raises(ParameterError, match="p, q >= 1"):
+        charpoly_cvjoin(generate("complete", [3]), (0, 2), 0.5)
 
 
 def test_cvjoin_generic_g2_evaluates():
@@ -704,11 +707,12 @@ def test_cvjoin_order_60_g2():
         assert abs(from_roots / coronal(x) - 1) > 1e-8
 
 
-def _shifted_split(G2, a):
+def _shifted_split(G2, a, cells=None):
     """The split of G2 by one eigendecomposition of A_alpha(G2) + sigma P, P
-    the projector onto the cell-constant vectors of G2's coarsest equitable
-    partition: the route every non-regular G2 takes."""
-    cells = equitable_partition(G2)
+    the projector onto the cell-constant vectors of the given cells, by
+    default G2's coarsest equitable partition: the route every non-regular
+    G2 takes."""
+    cells = cells or equitable_partition(G2)
     n2, k = G2.n, len(cells)
     P = np.zeros((n2, n2))
     for X in cells:
@@ -734,3 +738,43 @@ def test_regular_g2_split_matches_the_shifted_eigendecomposition(g2, a):
     for got, want in zip(_g2_split(g2, a), _shifted_split(g2, a)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# --- the K_{p,q} split in closed form
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)])
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 0.99999999, 1.0])
+def test_kpq_split_matches_the_shifted_eigendecomposition(monkeypatch, p, q, a):
+    # the reference is the generic split over the parts {P, Q}, which every
+    # (p, q) tuple took before; the closed form makes no eigensolver call
+    want = _shifted_split(generate("complete_bipartite", [p, q]), a,
+                          [list(range(p)), list(range(p, p + q))])
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, None)
+    got = _g2_split((p, q), a)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    # and (v, c) is the closed-form coronal, away from the spectrum
+    _, v, c = got
+    coronal, r = coronal_kpq_alpha(p, q, a), max(p, q)
+    for x in (-r - 1.25, r + 0.75, r + 3.5):
+        assert abs((c / (x - v)).sum() - coronal(x)) <= 1e-12
+
+
+C6, C8 = generate("cycle", [6]), generate("cycle", [8])
+
+
+@pytest.mark.parametrize("entry", [
+    C6, C8, (C6, generate("cycle", [5])), (C8, generate("complete", [2])), (C6, (2, 3))],
+    ids=["C6", "C8", "C6 v C5", "C8 v K2", "C6 v K2,3"])
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.75, 1.0])
+def test_bipartite_bases_take_the_fast_path(monkeypatch, entry, a):
+    # -r1 of a bipartite base is exact, so its base-eigenvalue row has weight
+    # exactly 0 and its root on the pole 2a passes without the pole count
+    def count(*args):
+        raise AssertionError("the pole count ran")
+    monkeypatch.setattr(ArrowheadStack, "_count_poles", count)
+    g1, _, fac, spectrum = _catalog_case(entry, a)
+    assert np.count_nonzero(fac.stack.weights[:-1, 0] == 0) == (a < 1 or g1.n - 1)
+    assert _max_dev(spectrum, _oracle(_closed_and_built(entry)[3], a)) <= TOL_MATCH

@@ -172,3 +172,18 @@ def test_matrix_born_edge_list_reads_the_matrix(formed_edge_sets, make):
     assert np.array_equal(R, incidence_matrix(same))
     assert G.sorted_edges() == sorted(same.edges)
     assert parse_edge_list(text) == Graph(G.n, G.edges)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: central_graph(generate("cycle", [5])),
+    lambda: central_vertex_join(generate("cycle", [4]), generate("complete_bipartite", [2, 3])),
+    lambda: complement(generate("petersen")),
+    lambda: generate("petersen"),
+    lambda: Graph.from_edges(7, [(0, 5), (2, 3), (2, 6), (5, 6)]),
+    lambda: Graph(4, frozenset()),
+    lambda: Graph(1, frozenset()),
+], ids=["C(C5)", "C4 vjoin K2,3", "co-Petersen", "Petersen", "isolated vertices", "4K1", "K1"])
+def test_edge_list_text_is_the_one_written_tuple_by_tuple(make):
+    G = make()
+    want = "\n".join([str(G.n)] + [f"{i} {j}" for i, j in sorted(G.edges)]) + "\n"
+    assert format_edge_list(G) == want

@@ -327,3 +327,25 @@ def test_public_copies_leave_the_cached_data_alone():
         g._adjacency[0, 1] = 0.0
     with pytest.raises(ValueError):
         g._adjacency_eigenvalues[0] = 0.0
+
+
+def _cycles(*sizes):
+    """Disjoint union of cycles, in order."""
+    edges, off = [], 0
+    for n in sizes:
+        edges += [(off + i, off + (i + 1) % n) for i in range(n)]
+        off += n
+    return Graph.from_edges(off, edges)
+
+
+@pytest.mark.parametrize("g,bipartite", [
+    (_cycles(6), 1), (_cycles(8), 1), (_cycles(6, 4), 2), (_cycles(5, 6), 1),
+    (_cycles(5), 0), (_cycles(3, 3), 0), (generate("complete_bipartite", [3, 3]), 1),
+    (generate("petersen"), 0)], ids=["C6", "C8", "C6+C4", "C5+C6", "C5", "2K3", "K3,3",
+                                     "Petersen"])
+def test_regular_graph_has_minus_r_exactly_once_per_bipartite_component(g, bipartite):
+    r = regularity(g)
+    w = g._adjacency_eigenvalues
+    assert np.count_nonzero(w == -r) == bipartite
+    assert (w[bipartite:] > -r + 1e-3).all()
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(adjacency_matrix(g)), rtol=0, atol=1e-12)

@@ -8,10 +8,11 @@ import pytest
 from alphacentral import (Graph, InternalCheckError, ParameterError, PreconditionError,
                           SingularityError, a_alpha_energy, a_alpha_matrix,
                           adjacency_matrix, char_poly, coronal_eval,
-                          coronal_kpq_alpha, coronal_regular, degree_matrix,
-                          eigenvalues_sym, generate, hoffman_poly)
+                          coronal_kpq_alpha, coronal_regular, default_catalog,
+                          degree_matrix, eigenvalues_sym, generate, hoffman_poly)
 from alphacentral.spectra import TOL_NUM, Polynomial, Spectrum
 from alphacentral.exactalg import det_exact
+from alphacentral.verify import _closed_and_built
 
 
 # --- the matrix family
@@ -35,6 +36,27 @@ def test_alpha_domain():
     for bad in (-0.1, 1.5, Fraction(9, 8)):
         with pytest.raises(ParameterError):
             a_alpha_matrix(g, bad)
+
+
+def _built_catalog_graphs():
+    return [_closed_and_built(entry)[3] for entry in default_catalog()]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 1.0])
+def test_float_matrix_is_the_sum_of_its_parts_bit_for_bit(a):
+    for g in _built_catalog_graphs():
+        A = adjacency_matrix(g)
+        want = a * np.diag(A.sum(axis=1)) + (1 - a) * A
+        got = a_alpha_matrix(g, a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_eigenvalues_sym_keeps_the_solvers_order():
+    # eigh's ascending output, reversed, is what a sort would give
+    for g in _built_catalog_graphs():
+        M = a_alpha_matrix(g, 0.37)
+        assert eigenvalues_sym(M) == Spectrum.from_values(np.linalg.eigh(M)[0])
 
 
 def test_exact_mode_matrix():
