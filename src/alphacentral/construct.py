@@ -9,15 +9,19 @@ matrices is directly assertable:
   vertices, in that order.
 
 Both are built as their adjacency matrix, block by block, from the
-adjacency matrices of their operands; the result is a matrix-born Graph,
-whose edge set is formed only if something reads it.
+adjacency matrices of their operands, with the subdivision columns placed
+by G's edge index (Graph._edge_index). Building forms the operands' dense
+matrices, as every spectral read does; the result is a matrix-born Graph,
+whose structural reads (edge count, degrees, edge list) go through its
+own edge index in O(n + m) once that is read off the matrix, and whose
+edge set is formed only if something reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, _edge_index
+from .graphs import Graph
 
 
 def _central_adjacency(G, extra):
@@ -31,11 +35,10 @@ def _central_adjacency(G, extra):
     with R(G) the vertex-edge incidence matrix, edges in lexicographic
     order. It takes few numpy calls, since at catalog orders each call
     costs more than the arithmetic."""
-    n, AG = G.n, G._adjacency
-    I, J = _edge_index(AG)
+    n, (I, J) = G.n, G._edge_index
     m = len(I)
     A = np.zeros((n + m + extra, n + m + extra))
-    A[:n, :n] = 1.0 - np.eye(n) - AG
+    A[:n, :n] = 1.0 - np.eye(n) - G._adjacency
     sub = np.arange(n, n + m)
     A[I, sub] = A[J, sub] = 1.0
     A[n:n + m, :n] = A[:n, n:n + m].T

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -46,17 +46,24 @@ class Graph:
 
     A Graph is born either from its edges (the constructor, from_edges) or
     from its read-only 0/1 adjacency matrix (_from_adjacency, used by the
-    central graph, the join and the complement). A matrix-born graph forms
-    its edge set only when something reads `edges`; the edge count, the
-    degrees and every spectral quantity come from the matrix.
+    central graph, the join and the complement). Its one edge index
+    (_edge_index), the endpoints of its edges in lexicographic order, is
+    read off whichever it was born with. Every structural read goes
+    through that index and costs O(n + m) once it exists: the edge count,
+    the degrees and regularity, the sorted edges, the edge-list text, the
+    neighbour lists (connectivity, the equitable partition) and the
+    incidence matrix. Only spectral reads form the n x n matrix: the
+    adjacency and A_alpha matrices, eigenvalues, the complement and the
+    constructions. A matrix-born graph forms its edge set only when
+    something reads `edges`.
 
     Because an instance never changes, the data derived from it alone is
-    computed once, on first use, and kept on the instance: the degree
-    tuple, the common degree (regularity), the colours of the coarsest
-    equitable partition, the float adjacency matrix (stored read-only) and
-    its checked ascending eigenvalues. They live exactly as long as the
-    instance. Public accessors (degree_sequence, adjacency_matrix) hand out
-    copies the caller owns.
+    computed once, on first use, and kept on the instance: the edge index,
+    the degree tuple, the common degree (regularity), the colours of the
+    coarsest equitable partition, the float adjacency matrix (stored
+    read-only) and its checked ascending eigenvalues. They live exactly as
+    long as the instance. Public accessors (degree_sequence,
+    adjacency_matrix) hand out copies the caller owns.
     """
 
     n: int
@@ -95,20 +102,31 @@ class Graph:
         # only reached for a matrix-born graph's edge set, on its first read
         if name != "edges" or "_adjacency" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = self.__dict__["edges"] = frozenset(_edge_pairs(self._adjacency))
+        edges = self.__dict__["edges"] = frozenset(self.sorted_edges())
         return edges
+
+    @cached_property
+    def _edge_index(self):
+        """(I, J): the endpoints i < j of the edges in lexicographic order,
+        as integer arrays. A matrix-born graph has no edge set until one is
+        formed from this index, so it reads them off the strict upper
+        triangle of its matrix, row by row; an edge-born graph sorts its
+        edges."""
+        if "edges" in self.__dict__:
+            return tuple(np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2).T)
+        upper = (self._adjacency > 0) & ~np.tri(self.n, dtype=bool)
+        return np.divmod(np.flatnonzero(upper), self.n)
 
     @property
     def m(self):
-        return sum(self._degrees) // 2
+        return len(self._edge_index[0])
 
     def sorted_edges(self):
-        """Edges in lexicographic order; fixes incidence column order. A
-        graph whose adjacency matrix is at hand reads them off the matrix,
-        so a matrix-born graph's edge set stays unformed."""
-        if "_adjacency" in self.__dict__:
-            return list(_edge_pairs(self._adjacency))
-        return sorted(self.edges)
+        """Edges in lexicographic order, with one int object per vertex
+        shared by its edges; fixes incidence column order."""
+        I, J = self._edge_index
+        vertex = list(range(self.n)).__getitem__
+        return list(zip(map(vertex, I.tolist()), map(vertex, J.tolist())))
 
     def has_edge(self, i, j):
         return (min(i, j), max(i, j)) in self.edges
@@ -119,7 +137,7 @@ class Graph:
 
     @cached_property
     def _degrees(self):
-        return tuple(self._adjacency.sum(axis=1).astype(np.int64).tolist())
+        return tuple(np.bincount(np.concatenate(self._edge_index), minlength=self.n).tolist())
 
     @cached_property
     def _regularity(self):
@@ -294,15 +312,11 @@ def parse_edge_list(text):
 def format_edge_list(G):
     """Serialize a Graph to the edge-list format; parse(format(G)) == G.
 
-    The edges are written row by row from two endpoint arrays, read off the
-    adjacency matrix when it is at hand (_edge_index), so no (i, j) tuple is
-    made per edge: each vertex name is formed once, and the lines of row i
-    are one join of its later neighbours' names.
+    The edges are written row by row from the graph's edge index, so no
+    (i, j) tuple is made per edge: each vertex name is formed once, and the
+    lines of row i are one join of its later neighbours' names.
     """
-    if "_adjacency" in G.__dict__:
-        I, J = _edge_index(G._adjacency)
-    else:
-        I, J = np.array(sorted(G.edges), dtype=np.int64).reshape(-1, 2).T
+    I, J = G._edge_index
     names = list(map(str, range(G.n)))
     bounds = np.searchsorted(I, np.arange(G.n + 1)).tolist()
     out = [str(G.n)]
@@ -316,22 +330,6 @@ def format_edge_list(G):
 # ---------------------------------------------------------------------------
 # matrix extractors
 
-def _edge_index(A):
-    """(I, J): the endpoints i < j of the edges of the adjacency matrix A,
-    in lexicographic order, since np.nonzero walks A row by row."""
-    I, J = np.nonzero(A)
-    upper = I < J
-    return I[upper], J[upper]
-
-
-def _edge_pairs(A):
-    """The edges of the adjacency matrix A as (i, j) pairs, lexicographic,
-    with one int object per vertex shared by its edges."""
-    I, J = _edge_index(A)
-    vertex = list(range(A.shape[0]))
-    return zip(map(vertex.__getitem__, I.tolist()), map(vertex.__getitem__, J.tolist()))
-
-
 def adjacency_matrix(G):
     """Symmetric 0/1 adjacency matrix with zero diagonal (float64); a copy
     the caller owns."""
@@ -344,9 +342,10 @@ def degree_matrix(G):
 
 def incidence_matrix(G):
     """n x m vertex-edge incidence matrix, columns in lexicographic edge order."""
-    R = np.zeros((G.n, G.m))
-    for k, (i, j) in enumerate(G.sorted_edges()):
-        R[i, k] = R[j, k] = 1.0
+    I, J = G._edge_index
+    R = np.zeros((G.n, len(I)))
+    columns = np.arange(len(I))
+    R[I, columns] = R[J, columns] = 1.0
     return R
 
 
@@ -362,15 +361,15 @@ def regularity(G):
 
 
 def _neighbours(G):
-    """Adjacency lists of G: the rows of its adjacency matrix when that is
-    at hand, so a matrix-born graph's edge set stays unformed."""
-    if "_adjacency" in G.__dict__:
-        return [np.flatnonzero(row).tolist() for row in G._adjacency]
-    adj = [[] for _ in range(G.n)]
-    for i, j in G.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+    """Ascending adjacency lists of G, from its edge index. Edge (i, j)
+    puts i in j's list and j in i's. One stable sort by list, over the
+    edges keyed by J and then by I, keeps index order within each part, so
+    v's list holds the I of the edges with J = v, which ascend because the
+    index is lexicographic, then the J of the edges with I = v."""
+    I, J = G._edge_index
+    others = np.concatenate([I, J])[np.argsort(np.concatenate([J, I]), kind="stable")]
+    bounds = [0, *accumulate(G._degrees)]
+    return [others[start:stop].tolist() for start, stop in zip(bounds, bounds[1:])]
 
 
 def _components(G):
@@ -456,7 +455,7 @@ def _invariants(G):
     A = G._adjacency
     A2 = A @ A
     yield "triangles per vertex", sorted((_as_ints((A2 * A).sum(axis=1)) // 2).tolist())
-    I, J = _edge_index(A)
+    I, J = G._edge_index
     yield "triangles per edge", sorted(_as_ints(A2[I, J]).tolist())
     C = A[I] * A[J]
     yield "4-clique count", int(_as_ints(((C @ A) * C).sum())) // 12

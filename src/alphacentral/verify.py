@@ -124,6 +124,19 @@ def _gap(v1, v2):
     return math.nan if math.isnan(sum(gaps)) else max(gaps, default=0.0)
 
 
+def _compared(label, alpha, source, closed, oracle, certified=True, note=""):
+    """The pass/fail SweepCase comparing the spectrum `closed` with the oracle
+    spectrum: it fails on a size mismatch, and otherwise passes iff the gap
+    is within TOL_MATCH and `certified` holds. The oracle's extremes are
+    recorded."""
+    if closed.n != oracle.n:
+        return SweepCase(label, alpha, source, "fail",
+                         note=f"size mismatch: closed {closed.n} vs oracle {oracle.n}")
+    dev = _gap(closed.values, oracle.values)
+    return SweepCase(label, alpha, source, "pass" if dev <= TOL_MATCH and certified else "fail",
+                     dev, oracle.values[-1], oracle.values[0], note)
+
+
 def spectra_equal(s1, s2, tol=TOL_MATCH):
     """True iff both spectra have the same length and agree positionwise.
 
@@ -218,18 +231,7 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
                 report.cases.append(SweepCase(label, alpha, "none", "skip",
                                               note=str(exc)))
                 continue
-            oracle = _oracle(built, a)
-            if closed.n != oracle.n:
-                report.cases.append(SweepCase(
-                    label, alpha, source, "fail",
-                    note=f"size mismatch: closed {closed.n} vs oracle {oracle.n}"))
-                continue
-            dev = _gap(closed.values, oracle.values)
-            status = "pass" if dev <= TOL_MATCH else "fail"
-            report.cases.append(SweepCase(label, alpha, source, status,
-                                          deviation=dev,
-                                          oracle_min=oracle.values[-1],
-                                          oracle_max=oracle.values[0]))
+            report.cases.append(_compared(label, alpha, source, closed, _oracle(built, a)))
     if include_formula_notes:
         report.notes.extend(formula_discrepancy_notes())
     return report
@@ -313,20 +315,16 @@ def cospectral_cvjoin_family(g1, g2, h, alpha_grid):
 
     for alpha in alpha_grid:
         a = float(alpha)
-        s1, s2 = _oracle(j1, a), _oracle(j2, a)
-        dev = _gap(s1.values, s2.values)
-        exact_note = "numeric"
-        ok = dev <= TOL_MATCH
+        # the first join's spectrum is the oracle whose extremes are recorded
+        oracle, second = _oracle(j1, a), _oracle(j2, a)
+        cert, note = True, "numeric"
         if isinstance(alpha, Fraction):
             cert = charpolys_equal_exact(a_alpha_matrix(j1, alpha),
                                          a_alpha_matrix(j2, alpha))
-            exact_note = ("exact certificate: identical characteristic polynomials"
-                          if cert else "exact certificate FAILED")
-            ok = ok and cert
-        report.cases.append(SweepCase(label, alpha, "join-of-cospectral-seeds",
-                                      "pass" if ok else "fail", deviation=dev,
-                                      oracle_min=s1.values[-1],
-                                      oracle_max=s1.values[0], note=exact_note))
+            note = ("exact certificate: identical characteristic polynomials"
+                    if cert else "exact certificate FAILED")
+        report.cases.append(_compared(label, alpha, "join-of-cospectral-seeds", second, oracle,
+                                      cert, note))
 
     degset = set(j1.degree_sequence)
     report.notes.append(

@@ -8,7 +8,7 @@ from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix,
                           cospectral_cvjoin_family, eigenvalues_sym,
                           equitable_partition, format_edge_list, generate,
                           incidence_matrix, is_connected, parse_edge_list,
-                          spectra_equal, sweep)
+                          regularity, spectra_equal, sweep)
 
 
 def test_central_k3_is_a_six_cycle():
@@ -151,7 +151,7 @@ def test_is_connected_leaves_the_edge_set_unformed(formed_edge_sets):
     c = central_graph(generate("complete", [3]))
     assert is_connected(c) and not formed_edge_sets
     j = central_vertex_join(generate("cycle", [4]), generate("path", [3]))
-    # the refinement reads the adjacency rows too; V1, S and the two cells
+    # the refinement reads the edge index too; V1, S and the two cells
     # of P3 (ends, middle) stay apart
     assert len(equitable_partition(j)) == 4 and not formed_edge_sets
     assert not is_connected(complement(generate("complete", [3]))) and not formed_edge_sets
@@ -172,6 +172,25 @@ def test_matrix_born_edge_list_reads_the_matrix(formed_edge_sets, make):
     assert np.array_equal(R, incidence_matrix(same))
     assert G.sorted_edges() == sorted(same.edges)
     assert parse_edge_list(text) == Graph(G.n, G.edges)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate("path", [5]),
+    lambda: generate("petersen"),
+    lambda: Graph.from_edges(7, [(0, 5), (2, 3), (2, 6), (5, 6)]),
+], ids=["P5", "Petersen", "isolated vertices"])
+def test_edge_born_structural_reads_leave_the_matrix_unformed(formed_edge_sets, make):
+    def structural_reads(G):
+        return (G.m, G.degree_sequence, regularity(G), repr(G), G.sorted_edges(),
+                format_edge_list(G), is_connected(G), equitable_partition(G),
+                incidence_matrix(G).tolist())
+
+    G = make()
+    reads = structural_reads(G)
+    assert "_adjacency" not in vars(G)
+    # the matrix-born twin: the double complement's matrix, under G's label
+    twin = Graph._from_adjacency(adjacency_matrix(complement(complement(make()))), G.label)
+    assert structural_reads(twin) == reads and not formed_edge_sets
 
 
 @pytest.mark.parametrize("make", [

@@ -146,7 +146,8 @@ def test_built_graphs_match_their_definition(g1, g2):
         A = built._adjacency
         with pytest.raises(ValueError):
             A[0, 0] = 1.0
-        # the count and the degrees come from the matrix, before the edge set exists
+        # the count and the degrees come from the edge index read off the matrix,
+        # before the edge set exists
         assert "edges" not in vars(built)
         degrees = [0] * built.n
         for i, j in want:
