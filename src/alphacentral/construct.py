@@ -11,10 +11,10 @@ matrices is directly assertable:
 Both are built as their adjacency matrix, block by block, from the
 adjacency matrices of their operands, with the subdivision columns placed
 by G's edge index (Graph._edge_index). Building forms the operands' dense
-matrices, as every spectral read does; the result is a matrix-born Graph,
-whose structural reads (edge count, degrees, edge list) go through its
-own edge index in O(n + m) once that is read off the matrix, and whose
-edge set is formed only if something reads it.
+matrices, as every spectral read does, and nothing else: the result is a
+matrix-born Graph, which reads its edge index (its value) off the matrix
+on its first structural read, equality or hash, and forms its edge set
+only if something reads it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Immutable simple graphs, generators, parsing, and matrix extractors.
 
-Vertex orderings are fixed per generator and edges are always enumerated in
-lexicographic (i, j) order with i < j, so every matrix derived from a graph
+A Graph's value is its order, its label and its edge index, the sorted
+codes i*n + j of its edges (see Graph). Vertex orderings are fixed per
+generator and edges are always enumerated in lexicographic (i, j) order
+with i < j, the order of the codes, so every matrix derived from a graph
 is reproducible bit for bit. Incidence-matrix columns follow the same edge
 order everywhere downstream.
 
@@ -22,10 +24,9 @@ Canonical orderings:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import operator
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,91 +36,116 @@ FAMILIES = ("complete", "complete_bipartite", "cycle", "path",
             "petersen", "shrikhande", "rook4x4")
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Its value is n, the frozenset `edges` of (i, j) pairs with i < j, and
-    the label: equality, hashing and the edge-list format read those.
-    Instances are immutable value objects; every operation returns a new
-    Graph.
+    Its value is n, the label and the edge index: the codes i*n + j of its
+    edges {i, j}, i < j (their flat positions in the n x n adjacency
+    matrix), in ascending, hence lexicographic, order, one read-only int64
+    array. Equality compares those three and hashing reads the codes'
+    bytes. Pickle and copy carry only the value and rebuild the graph
+    through the constructor. Instances are immutable value objects; every
+    operation returns a new Graph.
 
-    A Graph is born either from its edges (the constructor, from_edges) or
-    from its read-only 0/1 adjacency matrix (_from_adjacency, used by the
-    central graph, the join and the complement). Its one edge index
-    (_edge_index), the endpoints of its edges in lexicographic order, is
-    read off whichever it was born with. Every structural read goes
-    through that index and costs O(n + m) once it exists: the edge count,
-    the degrees and regularity, the sorted edges, the edge-list text, the
-    neighbour lists (connectivity, the equitable partition) and the
-    incidence matrix. Only spectral reads form the n x n matrix: the
-    adjacency and A_alpha matrices, eigenvalues, the complement and the
-    constructions. A matrix-born graph forms its edge set only when
-    something reads `edges`.
+    A Graph is born from its pairs or from its matrix. The constructor
+    (each pair (i, j) with i < j), from_edges (either order; duplicates
+    collapse), parse_edge_list and the cycle, path and Petersen generators
+    check the pairs and form the index with numpy, with no Python object
+    per edge. The dense graphs (the complete, complete bipartite,
+    Shrikhande and rook's graphs, the central graph, the join and the
+    complement) are born from their read-only 0/1 adjacency matrix
+    (_from_adjacency) and read their index off its strict upper triangle on
+    their first structural read. Every structural read goes through the
+    index and costs O(n + m) once it exists: the edge count, has_edge (one
+    binary search), the degrees and regularity, the sorted edges, the
+    edge-list text, the neighbour lists (connectivity, the equitable
+    partition) and the incidence matrix. Only spectral reads form the n x n
+    matrix: the adjacency and A_alpha matrices, eigenvalues, the complement
+    and the constructions. The frozenset `edges` of (i, j) pairs is formed
+    only when something reads it.
 
     Because an instance never changes, the data derived from it alone is
-    computed once, on first use, and kept on the instance: the edge index,
-    the degree tuple, the common degree (regularity), the colours of the
-    coarsest equitable partition, the float adjacency matrix (stored
-    read-only) and its checked ascending eigenvalues. They live exactly as
-    long as the instance. Public accessors (degree_sequence,
-    adjacency_matrix) hand out copies the caller owns.
+    computed once, on first use, and kept on the instance: the edge index
+    and its (I, J) endpoint arrays, the edge set, the degree tuple, the
+    common degree (regularity), the colours of the coarsest equitable
+    partition, the float adjacency matrix (stored read-only) and its checked
+    ascending eigenvalues. They live exactly as long as the instance. Public
+    accessors (degree_sequence, adjacency_matrix) hand out copies the
+    caller owns.
     """
 
-    n: int
-    edges: frozenset
-    label: str = ""
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"vertex count must be a positive integer, got {self.n!r}")
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < j < self.n):
-                raise ParameterError(f"edge {e} invalid for n={self.n} (need 0 <= i < j < n)")
+    def __init__(self, n, edges, label=""):
+        """The graph on n vertices with the edges (i, j), i < j, of the
+        iterable or (m, 2) integer array `edges`; repeats collapse. A pair
+        outside 0 <= i < j < n is refused, the first one in input order
+        named; so is an endpoint that operator.index refuses (a float, a
+        Fraction), as charpoly_int does."""
+        if not isinstance(n, int) or n < 1:
+            raise ParameterError(f"vertex count must be a positive integer, got {n!r}")
+        I, J = _endpoints(edges)
+        bad = (I < 0) | (I >= J) | (J >= n)
+        if bad.any():
+            k = bad.argmax()
+            raise ParameterError(f"edge ({I[k]}, {J[k]}) invalid for n={n} (need 0 <= i < j < n)")
+        # ValueError where n * n outgrows int64, not codes that wrap around
+        codes = np.sort(np.ravel_multi_index(np.array([I, J], dtype=np.int64), (n, n)))
+        codes = codes[np.diff(codes, prepend=-1) > 0]  # drop repeats
+        vars(self).update(n=n, label=label, _codes=_read_only(codes))
 
     @classmethod
     def from_edges(cls, n, pairs, label=""):
-        """Build a Graph from unordered pairs; duplicates collapse, order ignored."""
-        norm = set()
-        for a, b in pairs:
-            if a == b:
-                raise ParameterError(f"self-loop at vertex {a}")
-            norm.add((min(a, b), max(a, b)))
-        return cls(n, frozenset(norm), label)
+        """Build a Graph from unordered pairs; duplicates collapse, order
+        ignored. A self-loop is refused before any other pair."""
+        I, J = _endpoints(pairs)
+        if (I == J).any():
+            raise ParameterError(f"self-loop at vertex {I[(I == J).argmax()]}")
+        return cls(n, np.transpose([np.minimum(I, J), np.maximum(I, J)]), label)
 
     @classmethod
     def _from_adjacency(cls, A, label=""):
         """The Graph whose float adjacency matrix is A: symmetric, 0/1, zero
         diagonal, order >= 1, not checked. Takes ownership of A and makes it
         read-only."""
-        A.flags.writeable = False
         G = object.__new__(cls)
-        G.__dict__.update(n=A.shape[0], label=label, _adjacency=A)
+        vars(G).update(n=A.shape[0], label=label, _adjacency=_read_only(A))
         return G
 
-    def __getattr__(self, name):
-        # only reached for a matrix-born graph's edge set, on its first read
-        if name != "edges" or "_adjacency" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = self.__dict__["edges"] = frozenset(self.sorted_edges())
-        return edges
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Graph is immutable; {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.n, np.transpose(self._edge_index), self.label)
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and (self.n, self.label) == (other.n, other.label)
+                and np.array_equal(self._codes, other._codes))
+
+    def __hash__(self):
+        return hash((self.n, self.label, self._codes.tobytes()))
+
+    @cached_property
+    def _codes(self):
+        """A matrix-born graph's edge index, read off the strict upper
+        triangle of its matrix row by row; every other graph is born with
+        its index."""
+        return _read_only(np.flatnonzero((self._adjacency > 0) & ~np.tri(self.n, dtype=bool)))
 
     @cached_property
     def _edge_index(self):
         """(I, J): the endpoints i < j of the edges in lexicographic order,
-        as integer arrays. A matrix-born graph has no edge set until one is
-        formed from this index, so it reads them off the strict upper
-        triangle of its matrix, row by row; an edge-born graph sorts its
-        edges."""
-        if "edges" in self.__dict__:
-            return tuple(np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2).T)
-        upper = (self._adjacency > 0) & ~np.tri(self.n, dtype=bool)
-        return np.divmod(np.flatnonzero(upper), self.n)
+        read-only."""
+        return tuple(map(_read_only, np.divmod(self._codes, self.n)))
 
     @property
     def m(self):
-        return len(self._edge_index[0])
+        return len(self._codes)
+
+    @cached_property
+    def edges(self):
+        """The frozenset of (i, j) pairs with i < j, formed on first read."""
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self):
         """Edges in lexicographic order, with one int object per vertex
@@ -129,7 +155,10 @@ class Graph:
         return list(zip(map(vertex, I.tolist()), map(vertex, J.tolist())))
 
     def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
+        i, j = sorted((i, j))
+        code = i * self.n + j if 0 <= i < j < self.n else -1  # -1 is no edge's code
+        k = self._codes.searchsorted(code)
+        return bool(k < self.m and self._codes[k] == code)
 
     @property
     def degree_sequence(self):
@@ -141,8 +170,7 @@ class Graph:
 
     @cached_property
     def _regularity(self):
-        r = self._degrees[0]
-        return r if all(d == r for d in self._degrees) else None
+        return self._degrees[0] if len(set(self._degrees)) == 1 else None
 
     @cached_property
     def _cell_colours(self):
@@ -164,12 +192,12 @@ class Graph:
 
     @cached_property
     def _adjacency(self):
-        """The float adjacency matrix, read-only."""
+        """The float adjacency matrix of an index-born graph, filled from its
+        edge index, read-only; a matrix-born graph is born with it."""
         A = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1.0
-        A.flags.writeable = False
-        return A
+        I, J = self._edge_index
+        A[[I, J], [J, I]] = 1.0
+        return _read_only(A)
 
     @cached_property
     def _adjacency_eigenvalues(self):
@@ -186,12 +214,30 @@ class Graph:
         r = self._regularity
         if r:
             w[:sum(bipartite for _, bipartite in _components(self))] = -r
-        w.flags.writeable = False
-        return w
+        return _read_only(w)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _endpoints(pairs):
+    """(I, J): the first and the second endpoints of an iterable or (m, 2)
+    array of pairs, as integer arrays; an endpoint that operator.index
+    refuses raises ParameterError."""
+    pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    P = np.asarray(pairs).reshape(len(pairs), 2)
+    if len(P) and P.dtype.kind != "i":  # a bool, float, Fraction or huge int among them
+        try:
+            P = np.frompyfunc(operator.index, 1, 1)(np.array(pairs, dtype=object))
+        except TypeError as exc:
+            raise ParameterError(f"edge endpoints must be integers: {exc}") from None
+    return P[:, 0], P[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -209,57 +255,44 @@ def generate(family, params=()):
         cycle [n], path [n]; the three fixed graphs take no parameters.
     """
     params = list(params)
+    if family in ("petersen", "shrikhande", "rook4x4") and params:
+        raise ParameterError(f"{family} takes no parameters, got {params}")
     if family == "complete":
         n = _one_param(family, params, minimum=1)
-        return Graph.from_edges(n, combinations(range(n), 2), f"K{n}")
+        return Graph._from_adjacency(1.0 - np.eye(n), f"K{n}")
     if family == "complete_bipartite":
         if len(params) != 2:
             raise ParameterError("complete_bipartite needs two parameters p, q")
         p, q = params
         if p < 1 or q < 1:
             raise ParameterError(f"complete_bipartite needs p, q >= 1, got ({p}, {q})")
-        return Graph.from_edges(p + q, ((i, p + j) for i in range(p) for j in range(q)),
-                                f"K{p},{q}")
-    if family == "cycle":
-        n = _one_param(family, params, minimum=3)
-        return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), f"C{n}")
-    if family == "path":
-        n = _one_param(family, params, minimum=1)
-        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), f"P{n}")
+        A = np.zeros((p + q, p + q))
+        A[:p, p:] = A[p:, :p] = 1.0
+        return Graph._from_adjacency(A, f"K{p},{q}")
+    if family in ("cycle", "path"):
+        n = _one_param(family, params, minimum=3 if family == "cycle" else 1)
+        v = np.arange(n if family == "cycle" else n - 1)
+        return Graph.from_edges(n, np.transpose([v, (v + 1) % n]), f"{family[0].upper()}{n}")
     if family == "petersen":
-        _no_params(family, params)
-        edges = []
-        for i in range(5):
-            edges.append((i, (i + 1) % 5))
-            edges.append((5 + i, 5 + ((i + 2) % 5)))
-            edges.append((i, 5 + i))
-        return Graph.from_edges(10, edges, "Petersen")
-    if family == "shrikhande":
-        _no_params(family, params)
-        diffs = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-        edges = [(u, v) for u in range(16) for v in range(u + 1, 16)
-                 if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in diffs]
-        return Graph.from_edges(16, edges, "Shrikhande")
-    if family == "rook4x4":
-        _no_params(family, params)
-        edges = [(u, v) for u in range(16) for v in range(u + 1, 16)
-                 if u // 4 == v // 4 or u % 4 == v % 4]
-        return Graph.from_edges(16, edges, "Rook4x4")
+        i = np.arange(5)
+        outer, inner, spokes = (i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)
+        return Graph.from_edges(10, np.hstack([outer, inner, spokes]).T, "Petersen")
+    if family in ("shrikhande", "rook4x4"):
+        # vertex 4i + j: the row and column differences of u and v in Z4 x Z4
+        u, v = np.indices((16, 16))
+        dr, dc = (u // 4 - v // 4) % 4, (u - v) % 4
+        A = (np.isin(4 * dr + dc, [1, 3, 4, 5, 12, 15]) if family == "shrikhande"
+             else (dr == 0) != (dc == 0))
+        return Graph._from_adjacency(A.astype(float), family.capitalize())
     raise ParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
 def _one_param(family, params, minimum):
     if len(params) != 1:
         raise ParameterError(f"{family} needs exactly one parameter")
-    n = params[0]
-    if n < minimum:
-        raise ParameterError(f"{family} needs n >= {minimum}, got {n}")
-    return n
-
-
-def _no_params(family, params):
-    if params:
-        raise ParameterError(f"{family} takes no parameters, got {params}")
+    if params[0] < minimum:
+        raise ParameterError(f"{family} needs n >= {minimum}, got {params[0]}")
+    return params[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +310,8 @@ def parse_edge_list(text):
         On malformed lines, out-of-range indices, or self-loops, with the
         1-based line number in the message.
     """
-    lines = text.splitlines()
-    n = None
-    pairs = []
-    for lineno, raw in enumerate(lines, start=1):
+    n, pairs = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -344,8 +375,7 @@ def incidence_matrix(G):
     """n x m vertex-edge incidence matrix, columns in lexicographic edge order."""
     I, J = G._edge_index
     R = np.zeros((G.n, len(I)))
-    columns = np.arange(len(I))
-    R[I, columns] = R[J, columns] = 1.0
+    R[[I, J], np.arange(len(I))] = 1.0
     return R
 
 
@@ -382,17 +412,15 @@ def _components(G):
     for s in range(G.n):
         if side[s] >= 0:
             continue
-        side[s], queue, size, bipartite = 0, deque([s]), 0, True
-        while queue:
-            v = queue.popleft()
-            size += 1
+        side[s], queue, bipartite = 0, [s], True
+        for v in queue:  # the queue grows as the search reaches new vertices
             for w in adj[v]:
                 if side[w] < 0:
                     side[w] = 1 - side[v]
                     queue.append(w)
                 elif side[w] == side[v]:
                     bipartite = False
-        yield size, bipartite
+        yield len(queue), bipartite
 
 
 def is_connected(G):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -112,16 +113,17 @@ def test_join_label():
 
 @pytest.fixture
 def formed_edge_sets(monkeypatch):
-    """Records each matrix-born graph whose edge set gets formed."""
+    """Records each graph whose edge set gets formed."""
     formed = []
-    form = Graph.__getattr__
+    form = Graph.edges.func
 
-    def spy(self, name):
-        if name == "edges":
-            formed.append(self)
-        return form(self, name)
+    def spy(self):
+        formed.append(self)
+        return form(self)
 
-    monkeypatch.setattr(Graph, "__getattr__", spy)
+    edges = cached_property(spy)
+    edges.__set_name__(Graph, "edges")
+    monkeypatch.setattr(Graph, "edges", edges)
     return formed
 
 

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +14,7 @@ from alphacentral import (Graph, ParameterError, ParseError, a_alpha_matrix,
                           is_connected, nonisomorphism_witness,
                           parse_edge_list, regularity,
                           spectrum_cvjoin_regular)
-from alphacentral.construct import central_vertex_join
+from alphacentral.construct import central_graph, central_vertex_join
 from alphacentral.graphs import (four_clique_count, triangle_counts_per_vertex,
                                  triangles_per_edge)
 
@@ -63,6 +66,125 @@ def test_graph_validation():
         Graph(0, frozenset())
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Graph.from_edges(3, [(0, 1), (2, 2)]), "self-loop at vertex 2"),
+    # a self-loop is named before an out-of-range pair that comes first
+    (lambda: Graph.from_edges(3, [(0, 5), (1, 1)]), "self-loop at vertex 1"),
+    (lambda: Graph(0, frozenset()), "vertex count must be a positive integer, got 0"),
+    (lambda: Graph("3", frozenset()), "vertex count must be a positive integer, got '3'"),
+    (lambda: Graph.from_edges(2.0, []), "vertex count must be a positive integer, got 2.0"),
+    (lambda: Graph(3, frozenset({(0, 5)})), "edge (0, 5) invalid for n=3 (need 0 <= i < j < n)"),
+    (lambda: Graph(3, [(1, 1)]), "edge (1, 1) invalid for n=3 (need 0 <= i < j < n)"),
+    # the first offending pair in input order; from_edges names it oriented
+    (lambda: Graph(4, [(0, 1), (2, 1), (0, 9)]),
+     "edge (2, 1) invalid for n=4 (need 0 <= i < j < n)"),
+    (lambda: Graph.from_edges(4, [(0, 1), (5, 2), (1, 7)]),
+     "edge (2, 5) invalid for n=4 (need 0 <= i < j < n)"),
+    (lambda: Graph.from_edges(3, [(2, -1)]), "edge (-1, 2) invalid for n=3 (need 0 <= i < j < n)"),
+    (lambda: Graph.from_edges(3, [(0, 2**70)]),
+     f"edge (0, {2**70}) invalid for n=3 (need 0 <= i < j < n)"),
+])
+def test_validation_messages(make, message):
+    with pytest.raises(ParameterError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph(3, frozenset({(0.5, 1)})),
+    lambda: Graph.from_edges(3, [(0, 1.5)]),
+    lambda: Graph.from_edges(3, [(0, 1), (1.0, 2)]),
+    lambda: Graph.from_edges(3, [(Fraction(1), 2)]),
+    lambda: Graph.from_edges(3, [("0", "1")]),
+], ids=["float, constructor", "float, from_edges", "integral float", "Fraction", "str"])
+def test_non_integer_endpoints_are_refused(make):
+    # operator.index decides, as for charpoly_int: no endpoint is truncated
+    with pytest.raises(ParameterError, match="edge endpoints must be integers"):
+        make()
+
+
+def test_integer_endpoints_of_any_kind_are_accepted():
+    want = Graph(3, frozenset({(0, 1), (1, 2)}))
+    for pairs in ([(True, 2), (0, 1)], [(np.int32(1), np.int64(2)), (np.uint8(1), 0)],
+                  np.array([[2, 1], [0, 1]], dtype=np.uint16)):
+        G = Graph.from_edges(3, pairs)
+        assert G == want and G.edges == want.edges
+        assert all(type(v) is int for e in G.edges for v in e)
+
+
+def test_an_order_too_large_for_the_edge_codes_is_refused():
+    # i*n + j would wrap around in int64 and misplace the edge
+    big = 4 * 10**9
+    for build in (Graph, Graph.from_edges):
+        with pytest.raises(ValueError):
+            build(big, [(big - 2, big - 1)])
+    n = 3 * 10**9  # n * n still fits
+    G = Graph(n, [(n - 2, n - 1)])
+    assert G.m == 1 and G.has_edge(n - 1, n - 2) and not G.has_edge(n - 3, n - 1)
+    assert [a.tolist() for a in G._edge_index] == [[n - 2], [n - 1]]
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0, 1), (2,)], [3, 4], [(0, 1, 2), (3, 4, 1)]])
+def test_pairs_must_be_pairs(pairs):
+    for build in (Graph, Graph.from_edges):
+        with pytest.raises(ValueError):
+            build(5, pairs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate("petersen"),
+    lambda: central_graph(generate("cycle", [5])),
+], ids=["Petersen, from its pairs", "C(C5), from its matrix"])
+@pytest.mark.parametrize("round_trip", [
+    lambda G: pickle.loads(pickle.dumps(G)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_pickle_and_copy_carry_only_the_read_only_value(make, round_trip):
+    G = make()
+    G._adjacency, G._edge_index, G.degree_sequence  # cached data stays behind
+    back = round_trip(G)
+    assert set(vars(back)) == {"n", "label", "_codes"}
+    assert back == G and hash(back) == hash(G) and back.edges == G.edges
+    arrays = [back._codes, *back._edge_index, back._adjacency]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        back._adjacency[0, 1] = 0.0
+    assert np.array_equal(back._adjacency, G._adjacency)
+
+
+def test_graphs_are_immutable():
+    G = generate("cycle", [4])
+    with pytest.raises(AttributeError):
+        G.n = 5
+    with pytest.raises(AttributeError):
+        del G.label
+    with pytest.raises(ValueError):
+        G._codes[0] = 2
+    assert G == generate("cycle", [4])
+
+
+def test_equality_and_hash_read_the_value():
+    c = central_graph(generate("cycle", [6]))
+    twin = Graph.from_edges(c.n, reversed(c.sorted_edges()), c.label)
+    assert c == twin and hash(c) == hash(twin) and "edges" not in vars(c)
+    # the label and the order are part of the value
+    assert c != Graph.from_edges(c.n, c.sorted_edges())
+    assert Graph(3, [], "a") != Graph(3, []) and Graph(3, []) != Graph(4, [])
+    assert generate("cycle", [4]) != generate("path", [4]) and Graph(1, []) != "1"
+
+
+def test_has_edge_is_a_binary_search():
+    c = central_graph(generate("cycle", [6]))
+    # originals 0..5 join their non-neighbours; edge k of C6 gets vertex 6 + k
+    assert c.has_edge(0, 2) and c.has_edge(2, 0) and c.has_edge(0, 6) and c.has_edge(1, 6)
+    assert not c.has_edge(0, 1) and not c.has_edge(6, 7) and not c.has_edge(3, 3)
+    # codes i*n + j out of range would alias other pairs; they are no edges
+    assert not c.has_edge(0, 12 + 2) and not c.has_edge(-1, 1) and not c.has_edge(1, 12)
+    assert not c.has_edge(0, 10**20) and not c.has_edge(-10**20, 1)
+    assert "edges" not in vars(c)
+    assert all(c.has_edge(i, j) == ((min(i, j), max(i, j)) in c.edges)
+               for i in range(c.n) for j in range(c.n))
+
+
 # --- parsing and serialization
 
 def test_parse_k3():
@@ -106,6 +228,40 @@ def test_parse_allows_comments_and_blanks():
 def test_roundtrip(family, params):
     g = generate(family, params)
     assert parse_edge_list(format_edge_list(g)).edges == g.edges
+
+
+def _defined_edges(family, params):
+    """A catalog graph's edge set written out from its definition with
+    Python loops, the reference for the numpy generators."""
+    if family == "complete":
+        return set(combinations(range(params[0]), 2))
+    if family == "complete_bipartite":
+        p, q = params
+        return {(i, p + j) for i in range(p) for j in range(q)}
+    if family in ("cycle", "path"):
+        n = params[0]
+        pairs = {(i, i + 1) for i in range(n - 1)}
+        return pairs | {(0, n - 1)} if family == "cycle" else pairs
+    if family == "petersen":
+        pairs = [pair for i in range(5)
+                 for pair in ((i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i))]
+        return {(min(a, b), max(a, b)) for a, b in pairs}
+    pairs = combinations(range(16), 2)
+    if family == "rook4x4":
+        return {(u, v) for u, v in pairs if u // 4 == v // 4 or u % 4 == v % 4}
+    diffs = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return {(u, v) for u, v in pairs if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in diffs}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("complete", [1]), ("complete", [6]), ("complete_bipartite", [1, 1]),
+    ("complete_bipartite", [3, 4]), ("cycle", [3]), ("cycle", [8]), ("path", [1]),
+    ("path", [2]), ("path", [6]), ("petersen", []), ("shrikhande", []), ("rook4x4", []),
+])
+def test_generators_match_their_definitions(family, params):
+    g = generate(family, params)
+    assert g.edges == _defined_edges(family, params)
+    assert g.sorted_edges() == sorted(g.edges) and g.m == len(g.edges)
 
 
 # --- matrices

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacentral import (Graph, a_alpha_matrix, central_graph,
-                          central_vertex_join, generate, is_connected,
-                          spectrum_central_regular, spectrum_cvjoin_kpq,
-                          spectrum_cvjoin_regular)
+from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix, central_graph,
+                          central_vertex_join, format_edge_list, generate,
+                          is_connected, parse_edge_list, spectrum_central_regular,
+                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -162,3 +162,20 @@ def test_built_graphs_match_their_definition(g1, g2):
         same = Graph.from_edges(built.n, want, built.label)
         assert built == same and hash(built) == hash(same)
         assert built.sorted_edges() == sorted(want)
+
+
+@SETTINGS
+@given(n=st.integers(1, 12), data=st.data())
+def test_every_birth_of_a_graph_is_one_value(n, data):
+    """The constructor, from_edges on the same edges shuffled with reversed
+    and repeated pairs, the edge-list round trip and the twin born from the
+    adjacency matrix are equal, with equal hashes and equal edge sets."""
+    pairs = list(combinations(range(n), 2))
+    E = frozenset(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    repeats = data.draw(st.lists(st.sampled_from(sorted(E)))) if E else []
+    noisy = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in [*E, *repeats]]
+    G = Graph(n, E)
+    for twin in (Graph.from_edges(n, data.draw(st.permutations(noisy))),
+                 parse_edge_list(format_edge_list(G)),
+                 Graph._from_adjacency(adjacency_matrix(G), G.label)):
+        assert twin == G and hash(twin) == hash(G) and twin.edges == G.edges == E
