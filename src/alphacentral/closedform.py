@@ -97,8 +97,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalCheckError, ParameterError, PreconditionError
-from .graphs import regularity
+from .errors import InternalCheckError, PreconditionError
+from .graphs import _sizes, regularity
 from .spectra import Spectrum, _check_alpha, _coronal_spectral, a_alpha_matrix
 
 TOL_MATCH = 1e-8
@@ -159,8 +159,9 @@ class ArrowheadStack:
     def roots(self):
         """(K, d) array; row i holds the eigenvalues of blocks[i], ascending,
         each within h = TOL_ROOT * max(1, |z|max over the row's kept
-        eigenvalues) of a root of factor i. A degree-1 row is its own root
-        and is returned unchecked.
+        eigenvalues) of a root of factor i. A degree-1 row [[t]] has no
+        poles and F(x) = x - t; eigvalsh returns t exactly and the test
+        below passes it like any other row.
 
         F increases on each pole-free piece of [lo, hi] = [z - h, z + h] and
         runs from -inf to +inf between two poles, so the interval holds a
@@ -176,8 +177,6 @@ class ArrowheadStack:
         neither sign. No coefficient or product over the poles is formed, so
         the bound holds at any degree and any pole multiplicity.
         """
-        if self.degree == 1:
-            return self.blocks[:, :, 0]
         z = np.linalg.eigvalsh(self.blocks)
         h = TOL_ROOT * np.abs(z).max(axis=1, keepdims=True, initial=1.0, where=self.kept)
         y = _ENDS * z - h
@@ -392,8 +391,7 @@ def charpoly_central_regular(G, alpha):
     multiplicities, and the 2x2 arrowhead over the original and subdivision
     vertices gives the principal factor.
     """
-    a = float(alpha)
-    _check_alpha(a, allow_one=True)
+    a = float(_check_alpha(alpha))
     r = _require_regular_base(G, "central-graph closed form")
     return _charpoly_join(G, r, a, _EMPTY, _EMPTY, _EMPTY, "principal")
 
@@ -410,7 +408,8 @@ def spectrum_central_regular(G, alpha):
 def _g2_split(g2, a):
     """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
-    g2 is any Graph, or a (p, q) tuple for K_{p,q}. A tuple is split over
+    g2 is any Graph, or a (p, q) tuple for K_{p,q}, its sizes decided by
+    graphs._sizes as generate decides them. A tuple is split over
     the parts {P, Q} in closed form, with no eigensolve (_kpq_split): mu is
     alpha q with multiplicity p - 1 and alpha p with multiplicity q - 1, and
     (v, c) come from the eigenpairs of the 2x2 quotient over the parts, so
@@ -432,7 +431,7 @@ def _g2_split(g2, a):
     (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
     """
     if isinstance(g2, tuple):
-        return _kpq_split(*g2, a)
+        return _kpq_split(*_sizes("complete_bipartite", g2, ("p", "q")), a)
     r2 = regularity(g2)
     if r2 is not None:
         # every adjacency eigenvalue but the largest (a copy of r2), descending
@@ -467,8 +466,6 @@ def _kpq_split(p, q, a):
     (alpha = 1). The residues of coronal_kpq_alpha would instead divide by
     the gap between B's eigenvalues, which is 0 at p = q, alpha = 1.
     """
-    if p < 1 or q < 1:
-        raise ParameterError(f"complete_bipartite needs p, q >= 1, got ({p}, {q})")
     (hi, n_hi), (lo, n_lo) = sorted(((a * q, p - 1), (a * p, q - 1)), reverse=True)
     x, z, y = a * q, a * p, (1 - a) * math.sqrt(p * q)
     t = 0.0  # tan of the rotation angle, at most 1 in size
@@ -492,8 +489,7 @@ def charpoly_cvjoin(G1, g2, alpha):
     linear factors and the cells of the coronal arrowhead (see the module
     docstring).
     """
-    a = float(alpha)
-    _check_alpha(a, allow_one=True)
+    a = float(_check_alpha(alpha))
     r1 = _require_regular_base(G1, "vertex-join closed form")
     return _charpoly_join(G1, r1, a, *_g2_split(g2, a), "coronal")
 

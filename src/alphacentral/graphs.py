@@ -7,6 +7,12 @@ with i < j, the order of the codes, so every matrix derived from a graph
 is reproducible bit for bit. Incidence-matrix columns follow the same edge
 order everywhere downstream.
 
+Every integer input is decided by one rule, operator.index: a Graph's
+order, each generator parameter and the (p, q) of K_{p,q} (_size, _sizes),
+and each edge endpoint (_endpoints). Python and numpy integers are
+accepted, and a size is returned as a plain int; a float, a Fraction or a
+str is refused with ParameterError, never truncated.
+
 Canonical orderings:
 
 - complete [n]:           vertices 0..n-1, all pairs.
@@ -76,12 +82,12 @@ class Graph:
 
     def __init__(self, n, edges, label=""):
         """The graph on n vertices with the edges (i, j), i < j, of the
-        iterable or (m, 2) integer array `edges`; repeats collapse. A pair
-        outside 0 <= i < j < n is refused, the first one in input order
-        named; so is an endpoint that operator.index refuses (a float, a
-        Fraction), as charpoly_int does."""
-        if not isinstance(n, int) or n < 1:
-            raise ParameterError(f"vertex count must be a positive integer, got {n!r}")
+        iterable or (m, 2) integer array `edges`; repeats collapse. n is
+        decided by _size. A pair outside 0 <= i < j < n is refused, the
+        first one in input order named; so is an endpoint that
+        operator.index refuses (a float, a Fraction), as charpoly_int
+        does."""
+        n = _size(n, "vertex count must be a positive integer")
         I, J = _endpoints(edges)
         bad = (I < 0) | (I >= J) | (J >= n)
         if bad.any():
@@ -226,6 +232,30 @@ def _read_only(a):
     return a
 
 
+def _size(x, what, minimum=1):
+    """x as a plain int: the package's one integer rule, operator.index, the
+    rule of edge endpoints and of charpoly_int's entries. A float, a
+    Fraction or a str, or a value below minimum, raises ParameterError
+    "{what}, got {x!r}"."""
+    try:
+        if (n := operator.index(x)) >= minimum:
+            return n
+    except TypeError:
+        pass
+    raise ParameterError(f"{what}, got {x!r}")
+
+
+def _sizes(family, params, names, minimum=1):
+    """The parameters `names` of family (a tuple such as ("p", "q")) as a
+    list of plain ints, each decided by _size; a count other than
+    len(names) raises ParameterError."""
+    params = list(params)
+    if len(params) != len(names):
+        raise ParameterError(f"{family} takes parameters [{', '.join(names)}], got {params}")
+    what = f"{family} needs integer {', '.join(names)} >= {minimum}"
+    return [_size(x, what, minimum) for x in params]
+
+
 def _endpoints(pairs):
     """(I, J): the first and the second endpoints of an iterable or (m, 2)
     array of pairs, as integer arrays; an endpoint that operator.index
@@ -251,26 +281,22 @@ def generate(family, params=()):
     family : str
         One of FAMILIES.
     params : sequence of int
-        Family parameters: complete [n], complete_bipartite [p, q],
-        cycle [n], path [n]; the three fixed graphs take no parameters.
+        Family parameters, each decided by _size: complete [n],
+        complete_bipartite [p, q], cycle [n], path [n]; the three fixed
+        graphs take no parameters.
     """
-    params = list(params)
-    if family in ("petersen", "shrikhande", "rook4x4") and params:
-        raise ParameterError(f"{family} takes no parameters, got {params}")
+    if family in ("petersen", "shrikhande", "rook4x4"):
+        _sizes(family, params, ())
     if family == "complete":
-        n = _one_param(family, params, minimum=1)
+        [n] = _sizes(family, params, ("n",))
         return Graph._from_adjacency(1.0 - np.eye(n), f"K{n}")
     if family == "complete_bipartite":
-        if len(params) != 2:
-            raise ParameterError("complete_bipartite needs two parameters p, q")
-        p, q = params
-        if p < 1 or q < 1:
-            raise ParameterError(f"complete_bipartite needs p, q >= 1, got ({p}, {q})")
+        p, q = _sizes(family, params, ("p", "q"))
         A = np.zeros((p + q, p + q))
         A[:p, p:] = A[p:, :p] = 1.0
         return Graph._from_adjacency(A, f"K{p},{q}")
     if family in ("cycle", "path"):
-        n = _one_param(family, params, minimum=3 if family == "cycle" else 1)
+        [n] = _sizes(family, params, ("n",), minimum=3 if family == "cycle" else 1)
         v = np.arange(n if family == "cycle" else n - 1)
         return Graph.from_edges(n, np.transpose([v, (v + 1) % n]), f"{family[0].upper()}{n}")
     if family == "petersen":
@@ -285,14 +311,6 @@ def generate(family, params=()):
              else (dr == 0) != (dc == 0))
         return Graph._from_adjacency(A.astype(float), family.capitalize())
     raise ParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
-def _one_param(family, params, minimum):
-    if len(params) != 1:
-        raise ParameterError(f"{family} needs exactly one parameter")
-    if params[0] < minimum:
-        raise ParameterError(f"{family} needs n >= {minimum}, got {params[0]}")
-    return params[0]
 
 
 # ---------------------------------------------------------------------------

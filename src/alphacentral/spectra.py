@@ -7,10 +7,27 @@ every oracle comparison; exact mode (Fraction entries, alpha passed as a
 Fraction) backs cospectrality certificates where float equality would prove
 nothing. Functions dispatch on the dtype of their inputs.
 
-Every eigensolve goes through one gate, _eigh_checked: the input must be
-square and exactly symmetric (a nan entry is refused by position), is
-converted to float64 entry by entry with float(), and its eigenpairs must
-pass the TOL_EIG residual check. The empty matrix has the empty spectrum.
+Each kind of input is decided in one place:
+
+- alpha by one gate, _check_alpha: a real number (int, float, Fraction,
+  numpy scalar) in [0, 1], or [0, 1) for the energy, is returned as
+  given, and anything else raises ParameterError. Every entry point takes
+  its alpha from the gate; one that computes in float converts it only
+  after the gate.
+- a size (the order of coronal_regular, the p and q of coronal_kpq_alpha)
+  by graphs._size, the package's one integer rule.
+- whether a matrix is exact by its dtype: char_poly sends the integer
+  kinds that exactalg.charpoly_int takes (bool, signed, unsigned) and
+  object arrays to the exact engine.
+
+Every eigensolve but one goes through one gate, _eigh_checked: the input
+must be square and exactly symmetric (a nan entry is refused by position),
+is converted to float64 entry by entry with float(), and its eigenpairs
+must pass the TOL_EIG residual check. The empty matrix has the empty
+spectrum. The exception is closedform.ArrowheadStack.roots, which calls
+np.linalg.eigvalsh directly on its stack of small arrowhead blocks; its
+secular test, each root against its factor to TOL_ROOT, takes the place
+of the residual check.
 Polynomial evaluates, multiplies and serializes; it has no other algebra.
 A float polynomial given by its roots (char_poly, hoffman_poly) is
 multiplied out in one place, _from_roots, where no roots give the constant.
@@ -34,6 +51,7 @@ Numerical contracts (absolute unless noted):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,7 +60,7 @@ import numpy as np
 
 from . import exactalg
 from .errors import InternalCheckError, ParameterError, PreconditionError, SingularityError
-from .graphs import is_connected, regularity
+from .graphs import _size, _sizes, is_connected, regularity
 
 TOL_EIG = 1e-12
 TOL_NUM = 1e-9
@@ -166,7 +184,7 @@ def a_alpha_matrix(G, alpha):
     yields float64, filled as (1-alpha)*A with alpha*d_i then written onto
     the zero diagonal: bit for bit the sum, with one temporary.
     """
-    _check_alpha(alpha, allow_one=True)
+    alpha = _check_alpha(alpha)
     A = G._adjacency
     deg = A.sum(axis=1)
     if isinstance(alpha, Fraction):
@@ -180,11 +198,16 @@ def a_alpha_matrix(G, alpha):
     return M
 
 
-def _check_alpha(alpha, allow_one):
+def _check_alpha(alpha, allow_one=True):
+    """The one alpha gate: alpha as given when it is a real number in [0, 1]
+    ([0, 1) without allow_one); anything else raises ParameterError."""
+    if not isinstance(alpha, (float, numbers.Real)):  # float first: the ABC check is slow
+        raise ParameterError(f"alpha must be a real number, got {alpha!r}")
     hi_ok = alpha <= 1 if allow_one else alpha < 1
     if not (0 <= alpha and hi_ok):
         span = "[0, 1]" if allow_one else "[0, 1)"
         raise ParameterError(f"alpha must lie in {span}, got {alpha}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +259,16 @@ def _eigh_checked(M):
 def char_poly(M):
     """Characteristic polynomial det(lambda*I - M), monic, ascending coeffs.
 
-    Exact mode (integer, object or Fraction entries) runs the multi-prime
-    Hessenberg engine, O(n^3) per prime with CRT reconstruction, through
-    exactalg.charpoly_exact and returns Fraction coefficients. Float mode
-    multiplies out the eigenvalues of the (symmetric) input; the empty
-    matrix gives the polynomial 1.
+    Exact mode (a bool, integer or object array: integer or Fraction
+    entries) runs the multi-prime Hessenberg engine, O(n^3) per prime with
+    CRT reconstruction, through exactalg.charpoly_exact and returns
+    Fraction coefficients. Float mode multiplies out the eigenvalues of the
+    (symmetric) input; the empty matrix gives the polynomial 1.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {M.shape}")
-    if M.dtype == object or np.issubdtype(M.dtype, np.integer):
+    if M.dtype.kind in "biuO":
         return Polynomial.of(exactalg.charpoly_exact(M.tolist()))
     return _from_roots(eigenvalues_sym(M).values)
 
@@ -299,8 +322,7 @@ def coronal_regular(n, a):
     For an r-regular graph both A and A_alpha have row sums r, so this is
     their coronal with a = r.
     """
-    if n < 1:
-        raise ParameterError(f"order must be >= 1, got {n}")
+    n = _size(n, "order must be a positive integer")
     return RationalFunction(Polynomial.of([n]), Polynomial.of([-a, 1]))
 
 
@@ -310,9 +332,8 @@ def coronal_kpq_alpha(p, q, alpha):
     ((p+q)x - alpha(p+q)^2 + 2pq) / (x^2 - alpha(p+q)x + (2 alpha - 1)pq).
     At alpha = 0 this reduces to the adjacency coronal of K_{p,q}.
     """
-    if p < 1 or q < 1:
-        raise ParameterError(f"need p, q >= 1, got ({p}, {q})")
-    _check_alpha(alpha, allow_one=True)
+    p, q = _sizes("complete_bipartite", (p, q), ("p", "q"))
+    alpha = _check_alpha(alpha)
     s = p + q
     num = Polynomial.of([-alpha * s * s + 2 * p * q, s])
     den = Polynomial.of([(2 * alpha - 1) * p * q, -alpha * s, 1])
@@ -362,7 +383,7 @@ def a_alpha_energy(G, alpha):
     Defined for alpha in [0, 1); reduces to (1-alpha) times the adjacency
     energy on regular graphs.
     """
-    _check_alpha(alpha, allow_one=False)
-    spec = eigenvalues_sym(a_alpha_matrix(G, float(alpha)))
-    shift = 2.0 * float(alpha) * G.m / G.n
+    a = float(_check_alpha(alpha, allow_one=False))
+    spec = eigenvalues_sym(a_alpha_matrix(G, a))
+    shift = 2.0 * a * G.m / G.n
     return float(sum(abs(v - shift) for v in spec.values))

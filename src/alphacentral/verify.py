@@ -218,13 +218,14 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
     Per case, deviation is the maximum positionwise gap between the sorted
     closed-form spectrum and the sorted oracle spectrum; pass means
     deviation <= TOL_MATCH. Inputs violating a closed form's hypotheses are
-    reported as skipped with the reason.
+    reported as skipped with the reason. Every alpha of the grid passes the
+    alpha gate before the first case runs.
     """
     report = VerificationReport()
+    grid = [(alpha, float(_check_alpha(alpha))) for alpha in alpha_grid]
     for entry in catalog:
         label, source, closed_at, built = _closed_and_built(entry)
-        for alpha in alpha_grid:
-            a = float(alpha)
+        for alpha, a in grid:
             try:
                 closed = closed_at(a)
             except PreconditionError as exc:
@@ -253,8 +254,9 @@ def coronal_equal_check(h1, h2, alpha, sample_points):
     agrees but fewer than n1 + n2 distinct ones remain, raises
     SingularityError. coronal_sample_points supplies enough.
     """
-    w1, c1 = _coronal_spectral(a_alpha_matrix(h1, float(alpha)))
-    w2, c2 = _coronal_spectral(a_alpha_matrix(h2, float(alpha)))
+    a = float(_check_alpha(alpha))
+    w1, c1 = _coronal_spectral(a_alpha_matrix(h1, a))
+    w2, c2 = _coronal_spectral(a_alpha_matrix(h2, a))
     x = np.array(sorted({float(x) for x in sample_points}))
     poles = np.concatenate([w1, w2])
     x = x[np.all(np.abs(x[:, None] - poles) >= TOL_SING, axis=1)]
@@ -276,7 +278,7 @@ def coronal_sample_points(h1, h2, alpha):
     spectral radius is at most the largest degree; starting one above that
     clears both spectra without an eigensolve.
     """
-    _check_alpha(float(alpha), allow_one=True)
+    _check_alpha(alpha)
     n = max(h1.n, h2.n)
     start = max(h1.degree_sequence + h2.degree_sequence) + 1.0
     return [start + 0.37 * k for k in range(2 * n + 1)]
@@ -296,6 +298,7 @@ def cospectral_cvjoin_family(g1, g2, h, alpha_grid):
     (orders, sizes, degree multisets) and a non-isomorphism witness are
     recorded alongside.
     """
+    grid = [(alpha, float(_check_alpha(alpha))) for alpha in alpha_grid]
     if regularity(g1) is None or regularity(g2) is None:
         raise PreconditionError("seed graphs must both be regular")
     if not a_cospectral_exact(g1, g2):
@@ -313,8 +316,7 @@ def cospectral_cvjoin_family(g1, g2, h, alpha_grid):
         note=f"orders {j1.n}/{j2.n}, sizes {j1.m}/{j2.m}, degree multisets "
              f"{'equal' if same_shape else 'DIFFER'}"))
 
-    for alpha in alpha_grid:
-        a = float(alpha)
+    for alpha, a in grid:
         # the first join's spectrum is the oracle whose extremes are recorded
         oracle, second = _oracle(j1, a), _oracle(j2, a)
         cert, note = True, "numeric"

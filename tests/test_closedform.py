@@ -121,6 +121,20 @@ def test_root_on_a_pole_of_nonzero_weight_is_refused(monkeypatch):
         fam.roots()
 
 
+@pytest.mark.parametrize("a", [0.37, 1.0])
+def test_degree_one_rows_take_the_one_rooting_path(a, monkeypatch):
+    # the linear g2-eigenvalue rows are (K, 1, 1) blocks: eigvalsh roots
+    # them bit for bit as the shifted values, and the secular test checks
+    # them like every other row
+    fac = charpoly_cvjoin(generate("cycle", [5]), generate("path", [3]), a)
+    linear = fac.families[0]
+    assert linear.degree == 1
+    assert np.array_equal(linear.roots()[:, 0], fac.shifted)
+    _move_one_root(monkeypatch, 0, 0)
+    with pytest.raises(InternalCheckError, match="g2-eigenvalue root"):
+        linear.roots()
+
+
 def _catalog_case(entry, a):
     """(G1, second graph or None, FactoredCharPoly, Spectrum) of a catalog
     entry, the spectrum from the public spectrum function."""

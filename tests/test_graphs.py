@@ -51,6 +51,9 @@ def test_cycle_and_path():
     ("cycle", [2]),
     ("petersen", [7]),
     ("nosuch", []),
+    ("complete_bipartite", [1, 2, 3]),
+    ("complete", []),
+    ("cycle", [5, 5]),
 ])
 def test_bad_generator_args(family, params):
     with pytest.raises(ParameterError):
