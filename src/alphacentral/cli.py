@@ -30,7 +30,7 @@ from pathlib import Path
 from .closedform import charpoly_cvjoin, charpoly_central_regular
 from .construct import central_graph, central_vertex_join
 from .errors import ParameterError, ParseError, PreconditionError, SingularityError
-from .graphs import FAMILIES, format_edge_list, generate, parse_edge_list
+from .graphs import FAMILIES, _sizes, format_edge_list, generate, parse_edge_list
 from .spectra import Spectrum, a_alpha_energy, a_alpha_matrix, char_poly, eigenvalues_sym
 from . import verify as verify_mod
 
@@ -48,10 +48,28 @@ def _load_graph(spec):
         return parse_edge_list(path.read_text())
     name, _, rest = spec.partition(":")
     if name in FAMILIES:
-        params = [int(x) for x in rest.split(",") if x] if rest else []
-        return generate(name, params)
+        return _decide_sizes(f"graph argument {spec!r}", [x for x in rest.split(",") if x],
+                             lambda sizes: generate(name, sizes))
     raise FileNotFoundError(f"graph argument {spec!r}: no such file and not a "
                             f"generator shorthand (families: {', '.join(FAMILIES)})")
+
+
+def _decide_sizes(where, tokens, decide):
+    """decide(sizes) for the sizes written as tokens: int() reads each
+    token, and decide (generate, or graphs._sizes for a kpq line) holds
+    them to the package's integer rule, graphs._size. A token int()
+    refuses, or a size decide refuses, raises ParameterError naming
+    where: the graph argument or the catalog line."""
+    sizes = []
+    for tok in tokens:
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ParameterError(f"{where}: sizes must be integers, got {tok!r}") from None
+    try:
+        return decide(sizes)
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 def _alpha_token(tok, exact):
@@ -251,7 +269,9 @@ def _parse_catalog_file(path):
         elif kind == "cvjoin" and len(parts) == 3:
             entries.append((_load_graph(parts[1]), _load_graph(parts[2])))
         elif kind == "kpq" and len(parts) == 4:
-            entries.append((_load_graph(parts[1]), (int(parts[2]), int(parts[3]))))
+            pq = _decide_sizes(f"catalog line {lineno}", parts[2:], lambda sizes: tuple(
+                _sizes("complete_bipartite", sizes, ("p", "q"))))
+            entries.append((_load_graph(parts[1]), pq))
         else:
             raise ParseError(f"catalog line {lineno}: expected 'central G', "
                              f"'cvjoin G1 G2', or 'kpq G1 p q', got {line!r}")

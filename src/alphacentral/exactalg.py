@@ -1,21 +1,20 @@
-"""Exact linear algebra over integers and rationals.
+"""Exact characteristic polynomials over integers and rationals.
 
-Two independent routes are kept deliberately separate:
+charpoly_int is the one exact engine: Hessenberg reduction and the
+Hessenberg recurrence, O(n^3) per prime, run on a (K, n, n) int64 stack of
+K word-size primes at once and reconstructed by CRT (Garner). The prime
+budget is Hadamard's bound on the principal minors: with row 2-norms
+|r_i|, every coefficient is at most B = prod_i (1 + ceil(|r_i|)) in
+absolute value, B is computed in integer arithmetic, and primes are taken
+downward from the order's int64 limit until their product exceeds 2B, so
+the result is exact, not heuristic. This is the standard multimodular
+coefficient bound (Dumas, Pernet and Wan, "Efficient computation of the
+characteristic polynomial", ISSAC 2005). charpoly_exact scales a rational
+matrix to integers and enters the engine through charpoly_int, so every
+exact charpoly runs there.
 
-- charpoly_int, the one exact engine: Hessenberg reduction and the
-  Hessenberg recurrence, O(n^3) per prime, run on a (K, n, n) int64 stack
-  of K word-size primes at once and reconstructed by CRT (Garner). The
-  prime budget is Hadamard's bound on the principal minors: with row
-  2-norms |r_i|, every coefficient is at most B = prod_i (1 + ceil(|r_i|))
-  in absolute value, B is computed in integer arithmetic, and primes are
-  taken downward from the order's int64 limit until their product exceeds
-  2B, so the result is exact, not heuristic. This is the standard
-  multimodular coefficient bound (Dumas, Pernet and Wan, "Efficient
-  computation of the characteristic polynomial", ISSAC 2005).
-  charpoly_exact scales a rational matrix to integers and enters the
-  engine through charpoly_int, so every exact charpoly runs there.
-- det_exact: plain fraction-preserving Gaussian elimination. Slower, used
-  as the cross-check oracle for the charpoly route.
+The tests cross-check the engine against an independent determinant by
+fraction-preserving Gaussian elimination (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -211,33 +210,3 @@ def charpoly_exact(M):
     scaled = [x.numerator * (c // x.denominator) for x in values]
     ints = charpoly_int([[scaled[k] for k in r] for r in cells])
     return [Fraction(ck, c ** (len(cells) - k)) for k, ck in enumerate(ints)]
-
-
-def det_exact(M):
-    """Determinant by exact Gaussian elimination over Fractions.
-
-    Independent of the charpoly route; used to cross-check it.
-    """
-    rows = [[Fraction(x) for x in row] for row in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ParameterError("matrix is not square")
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor == 0:
-                continue
-            rows[r][col] = Fraction(0)
-            for cix in range(col + 1, n):
-                rows[r][cix] -= factor * rows[col][cix]
-    return sign * det

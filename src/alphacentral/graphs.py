@@ -31,6 +31,7 @@ Canonical orderings:
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import cached_property
 from itertools import accumulate
 
@@ -74,8 +75,9 @@ class Graph:
     computed once, on first use, and kept on the instance: the edge index
     and its (I, J) endpoint arrays, the edge set, the degree tuple, the
     common degree (regularity), the colours of the coarsest equitable
-    partition, the float adjacency matrix (stored read-only) and its checked
-    ascending eigenvalues. They live exactly as long as the instance. Public
+    partition and the alpha-free parts of the quotient over it, the float
+    adjacency matrix (stored read-only) and its checked ascending
+    eigenvalues. They live exactly as long as the instance. Public
     accessors (degree_sequence, adjacency_matrix) hand out copies the
     caller owns.
     """
@@ -181,20 +183,75 @@ class Graph:
     @cached_property
     def _cell_colours(self):
         """Each vertex's cell in the coarsest equitable partition, cells
-        numbered in order of their first vertex. Colour refinement from one
-        colour recolours each vertex by its colour and its neighbours'
-        colour multiset until a round splits no cell; the first round splits
-        by degree, so a regular graph is one cell."""
-        colour, count = [0] * self.n, 1
-        adj = _neighbours(self)
-        while True:
-            ids = {}
-            new = [ids.setdefault((colour[v], tuple(sorted(colour[u] for u in adj[v]))),
-                                  len(ids)) for v in range(self.n)]
-            if len(ids) == count:
-                break
-            colour, count = new, len(ids)
-        return tuple(colour)
+        numbered in order of their first vertex.
+
+        Colour refinement from one colour: a round splits every cell by its
+        vertices' signatures, the sorted colours of their neighbours, until
+        a round splits no cell. The first round splits by degree, with no
+        signature formed, so a regular graph is one cell. A later round
+        re-examines only the neighbours of the vertices whose colour changed
+        in the round before, in cells of two or more vertices (McKay and
+        Piperno, J. Symbolic Comput. 60 (2014) 94-112). Every other vertex
+        kept its neighbours' colours, so it keeps the signature that all of
+        its cell shared. A re-examined vertex lost a neighbour's old colour,
+        so its signature differs from that one. So the vertices that are
+        not re-examined stay together and keep the cell's colour (in the
+        first round, the most common degree keeps colour 0); when every
+        vertex of a cell is re-examined, the first part met keeps it. Only
+        the other parts change colour. Each round thus splits the cells as a
+        round over every vertex would, and a path-like graph that needs many
+        rounds pays for the changed vertices only.
+        """
+        classes = Counter(self._degrees).most_common()  # the most common degree first
+        ids = {d: c for c, (d, _) in enumerate(classes)}
+        colour = [ids[d] for d in self._degrees]
+        size = [count for _, count in classes]
+        changed = [v for v, c in enumerate(colour) if c]
+        adj = _neighbours(self) if changed else None
+        while changed and len(size) < self.n:  # a discrete partition splits no further
+            parts = {}  # cell -> signature -> its re-examined vertices
+            for v in {u for v in changed for u in adj[v]}:
+                c = colour[v]
+                if size[c] > 1:
+                    s = tuple(sorted([colour[u] for u in adj[v]]))
+                    parts.setdefault(c, {}).setdefault(s, []).append(v)
+            changed = []
+            for c, by_signature in parts.items():
+                split = list(by_signature.values())
+                if sum(map(len, split)) == size[c]:
+                    split.pop(0)
+                for vs in split:
+                    size[c] -= len(vs)
+                    for v in vs:
+                        colour[v] = len(size)
+                    size.append(len(vs))
+                    changed += vs
+        first = {}
+        return tuple(first.setdefault(c, len(first)) for c in colour)
+
+    @cached_property
+    def _quotient(self):
+        """(d, R, r), read-only: the alpha-free parts of the symmetrized
+        quotient of A_alpha over the coarsest equitable partition, whose
+        k cells are numbered as in _cell_colours.
+
+        B[X, Y] counts the neighbours in cell Y of a vertex of cell X; d =
+        B 1 holds the cells' degrees, R = sqrt(B o B^T) and r = sqrt(s) for
+        the cell sizes s. A_alpha acts on the cell-constant vectors as
+        alpha diag(d) + (1 - alpha) B, and s_X B[X, Y] = s_Y B[Y, X]
+        counts the edges between X and Y, so diag(r) conjugates that action
+        into the symmetric alpha diag(d) + (1 - alpha) R (Godsil and Royle,
+        Algebraic Graph Theory, section 9.3). Counted from the edge index in
+        O(m + k^2).
+        """
+        colour = np.array(self._cell_colours)
+        k = int(colour.max()) + 1
+        I, J = self._edge_index
+        X, Y = colour[I], colour[J]
+        ends = np.bincount(np.concatenate([X * k + Y, Y * k + X]), minlength=k * k)
+        size = np.bincount(colour, minlength=k)
+        B = ends.reshape(k, k) / size[:, None]
+        return tuple(map(_read_only, (B.sum(axis=1), np.sqrt(B * B.T), np.sqrt(size))))
 
     @cached_property
     def _adjacency(self):

@@ -15,7 +15,8 @@ Each kind of input is decided in one place:
   its alpha from the gate; one that computes in float converts it only
   after the gate.
 - a size (the order of coronal_regular, the p and q of coronal_kpq_alpha)
-  by graphs._size, the package's one integer rule.
+  by graphs._size, the package's one integer rule; coronal_regular's row
+  sum by the real-number test of the alpha gate, with no range.
 - whether a matrix is exact by its dtype: char_poly sends the integer
   kinds that exactalg.charpoly_int takes (bool, signed, unsigned) and
   object arrays to the exact engine.
@@ -305,8 +306,26 @@ def _coronal_spectral(M):
     return w, V.sum(axis=0) ** 2
 
 
+def _coronal_quotient(G, a):
+    """(w, c) with Gamma_{A_a(G)}(x) = sum(c / (x - w)) for a Graph G and a
+    float a, from the k x k symmetrized quotient over the coarsest
+    equitable partition (Graph._quotient): S = a diag(d) + (1 - a) R.
+
+    The cell-constant vectors span an A_a(G)-invariant space that holds
+    the all-ones vector, so only their k eigenpairs carry weight, and a
+    unit eigenvector u of S gives c = (u^T sqrt(s))^2 for the cell sizes
+    s. One checked eigensolve of order k per alpha, and k = 1 for a
+    regular graph; w holds the k cell-constant eigenvalues, so the other
+    n - k eigenvalues of A_a(G) are not poles.
+    """
+    d, R, root_size = G._quotient
+    w, U = _eigh_checked(a * np.diag(d) + (1 - a) * R)
+    return w, (root_size @ U) ** 2
+
+
 def _coronal_values(w, c, x):
-    """Gamma at x (a scalar, or an array of points) from _coronal_spectral."""
+    """Gamma at x (a scalar, or an array of points) from _coronal_spectral
+    or _coronal_quotient."""
     d = np.asarray(x, dtype=float)[..., None] - w
     if d.size:
         gap = np.min(np.abs(d))
@@ -320,9 +339,13 @@ def coronal_regular(n, a):
     """Coronal of any n x n matrix with constant row sum a: n / (x - a).
 
     For an r-regular graph both A and A_alpha have row sums r, so this is
-    their coronal with a = r.
+    their coronal with a = r. n is decided by graphs._size; a row sum that
+    is not a real number (the numbers.Real test of _check_alpha, without
+    its range) raises ParameterError.
     """
     n = _size(n, "order must be a positive integer")
+    if not isinstance(a, numbers.Real):
+        raise ParameterError(f"row sum must be a real number, got {a!r}")
     return RationalFunction(Polynomial.of([n]), Polynomial.of([-a, 1]))
 
 

@@ -29,7 +29,7 @@ from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_
 from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError, SingularityError
 from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
-from .spectra import (TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_spectral,
+from .spectra import (TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
                       _coronal_values, a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
@@ -244,19 +244,24 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
 def coronal_equal_check(h1, h2, alpha, sample_points):
     """Test Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} at sample points.
 
-    Each matrix is eigendecomposed once and both coronals are evaluated at
-    every point from that, so the cost is O(n^3) whatever the point count.
-    Points within TOL_SING of either spectrum are dropped first. The
-    coronal of an order-n matrix is p/q with deg q = n and deg p <= n - 1,
-    so Gamma_1 - Gamma_2 has a numerator of degree <= n1 + n2 - 1: one
-    disagreeing point proves the coronals differ, and agreement at
-    n1 + n2 distinct usable points proves identity. When every usable point
-    agrees but fewer than n1 + n2 distinct ones remain, raises
-    SingularityError. coronal_sample_points supplies enough.
+    Each coronal comes from its graph's symmetrized quotient over the
+    coarsest equitable partition (spectra._coronal_quotient): one checked
+    eigensolve of order k per graph and alpha, k the graph's cell count (1
+    for a regular graph), on the alpha-free quotient that the Graph keeps
+    after its first call (O(m + k^2) once, with the colour refinement).
+    Each point then costs O(k1 + k2). The poles are the k1 + k2
+    cell-constant eigenvalues, and points within TOL_SING of one are
+    dropped first; a point near another eigenvalue of A_alpha is no pole
+    and is kept. The coronal of an order-n matrix is p/q with deg q = n
+    and deg p <= n - 1, so Gamma_1 - Gamma_2 has a numerator of degree
+    <= n1 + n2 - 1: one disagreeing point proves the coronals differ, and
+    agreement at n1 + n2 distinct usable points proves identity. When every
+    usable point agrees but fewer than n1 + n2 distinct ones remain,
+    raises SingularityError. coronal_sample_points supplies enough.
     """
     a = float(_check_alpha(alpha))
-    w1, c1 = _coronal_spectral(a_alpha_matrix(h1, a))
-    w2, c2 = _coronal_spectral(a_alpha_matrix(h2, a))
+    w1, c1 = _coronal_quotient(h1, a)
+    w2, c2 = _coronal_quotient(h2, a)
     x = np.array(sorted({float(x) for x in sample_points}))
     poles = np.concatenate([w1, w2])
     x = x[np.all(np.abs(x[:, None] - poles) >= TOL_SING, axis=1)]

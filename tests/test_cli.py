@@ -227,6 +227,30 @@ def test_verify_bad_catalog_line(tmp_path, capsys):
     assert code == 1 and "line 1" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("complete:2.5", "sizes must be integers, got '2.5'"),
+    ("complete_bipartite:2,x", "sizes must be integers, got 'x'"),
+    ("complete:0", "complete needs integer n >= 1, got 0"),
+    ("cycle:2", "cycle needs integer n >= 3, got 2"),
+])
+def test_a_bad_shorthand_size_names_the_graph_argument(capsys, spec, message):
+    code, out, err = run(capsys, "spectrum", spec, "--alpha", "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: graph argument {spec!r}: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("kpq petersen 2.5 3", "sizes must be integers, got '2.5'"),
+    ("kpq petersen 2 0", "complete_bipartite needs integer p, q >= 1, got 0"),
+])
+def test_a_bad_kpq_size_names_the_catalog_line(tmp_path, capsys, line, message):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(f"central petersen\n{line}\n")
+    code, out, err = run(capsys, "verify", "--catalog", str(catalog))
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog line 2: {message}\n"
+
+
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     from alphacentral.verify import SweepCase, VerificationReport
     bad = VerificationReport(cases=[SweepCase("x", 0.0, "s", "fail")])

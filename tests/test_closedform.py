@@ -15,8 +15,8 @@ from alphacentral import (Graph, InternalCheckError, ParameterError, Preconditio
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH, ArrowheadStack, _g2_split
-from alphacentral.exactalg import det_exact
 from alphacentral.verify import _closed_and_built
+from reference import det_exact
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "paw")
 

@@ -11,8 +11,8 @@ from alphacentral import (InternalCheckError, ParameterError, Polynomial,
                           a_alpha_matrix, central_vertex_join, char_poly, exactalg,
                           generate)
 from alphacentral.exactalg import (_is_prime, _prime_below, _primes_above,
-                                   _row_norm_bound, charpoly_exact, charpoly_int,
-                                   det_exact)
+                                   _row_norm_bound, charpoly_exact, charpoly_int)
+from reference import det_exact
 
 
 def _assert_charpoly_matches_det(m, coeffs, xs):

@@ -17,6 +17,7 @@ from alphacentral import (Graph, ParameterError, ParseError, a_alpha_matrix,
 from alphacentral.construct import central_graph, central_vertex_join
 from alphacentral.graphs import (four_clique_count, triangle_counts_per_vertex,
                                  triangles_per_edge)
+from reference import colours_by_rounds
 
 
 def test_complete_graph():
@@ -459,6 +460,45 @@ def test_equitable_partition():
         cells = equitable_partition(g)
         assert sorted(u for X in cells for u in X) == list(range(g.n))
         assert _is_equitable(g, cells)
+
+
+def _cycles_and_paths(rng):
+    """A random union of cycles and paths (isolated vertices included),
+    randomly relabelled: many rounds of refinement, few changed vertices
+    in each."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 6)):
+        s = rng.randint(1, 25)
+        closed = s >= 3 and rng.random() < 0.5
+        edges += [(n + i, n + (i + 1) % s) for i in range(s if closed else s - 1)]
+        n += s
+    label = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(label[i], label[j]) for i, j in edges])
+
+
+def test_cell_colours_match_the_round_based_refinement():
+    # the worklist refinement re-examines only the neighbours of changed
+    # vertices; it must give the tuple of a round over every vertex
+    rng = random.Random(23)
+    graphs = ([_seeded_graph(rng, rng.randint(1, 40), rng.choice((0.03, 0.1, 0.3, 0.7)))
+               for _ in range(150)]
+              + [_cycles_and_paths(rng) for _ in range(150)] + _invariant_pairs()
+              + [generate("path", [60]), generate("cycle", [9]), Graph.from_edges(4, []),
+                 central_vertex_join(generate("petersen"), generate("path", [7]))])
+    for g in graphs:
+        assert g._cell_colours == colours_by_rounds(g)
+
+
+def test_quotient_counts_the_neighbours_in_each_cell():
+    # P5's cells {0, 4}, {1, 3}, {2}: an end has one neighbour in {1, 3},
+    # vertex 1 one in each other cell, the centre two in {1, 3}
+    d, R, root_size = generate("path", [5])._quotient
+    B = np.array([[0, 1, 0], [1, 0, 1], [0, 2, 0]])
+    assert d.tolist() == [1, 2, 2]
+    assert np.array_equal(R, np.sqrt(B * B.T))
+    assert np.array_equal(root_size, np.sqrt([2, 2, 1]))
+    d, R, root_size = generate("petersen")._quotient
+    assert (d.tolist(), R.tolist(), root_size.tolist()) == ([3.0], [[3.0]], [10 ** 0.5])
 
 
 def test_is_connected_on_one_and_two_isolated_vertices():

@@ -50,6 +50,18 @@ def test_numpy_integer_sizes_give_what_int_gives(size):
         assert type(G.n) is int
 
 
+@pytest.mark.parametrize("a", ["2", None, 2j, [2]], ids=repr)
+def test_a_row_sum_that_is_not_a_real_number_is_refused(a):
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"row sum must be a real number, got {a!r}")):
+        coronal_regular(4, a)
+
+
+def test_every_real_row_sum_gives_the_coronal():
+    for a in (2, 2.0, np.float64(2.0), np.int64(2), Fraction(2), True):
+        assert coronal_regular(4, a)(3) == 4 / (3 - a)
+
+
 def test_a_bool_size_is_the_integer_operator_index_makes_of_it():
     assert Graph(True, []) == Graph(1, [])
 

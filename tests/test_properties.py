@@ -1,6 +1,7 @@
 """Property tests: every rooted closed form against the eigensolver on the
 explicitly built matrix, over regular base graphs, arbitrary second graphs
-of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly."""
+of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly; and the
+quotient coronal against the resolvent of the whole matrix."""
 
 import random
 from itertools import combinations
@@ -15,6 +16,7 @@ from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix, central_graph
                           is_connected, parse_edge_list, spectrum_central_regular,
                           spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH
+from alphacentral.spectra import _coronal_quotient, _coronal_values
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -123,6 +125,19 @@ def test_kpq_join_closed_form_matches_eigensolver(g1, p, q, a):
 def test_any_join_closed_form_matches_eigensolver(g1, g2, a):
     closed = spectrum_cvjoin_regular(g1, g2, a)
     assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH
+
+
+@SETTINGS
+@given(g=any_graphs(max_order=12), a=alphas)
+def test_quotient_coronal_matches_the_resolvent(g, a):
+    """The coronal from the k x k quotient equals 1^T (xI - A_alpha)^{-1} 1
+    solved on the whole matrix, at points above the spectrum (at most the
+    largest degree)."""
+    w, c = _coronal_quotient(g, a)
+    M, ones = a_alpha_matrix(g, a), np.ones(g.n)
+    for x in max(g.degree_sequence) + np.array([0.5, 1.0, 3.7, 40.0]):
+        want = ones @ np.linalg.solve(x * np.eye(g.n) - M, ones)
+        assert abs(_coronal_values(w, c, x) - want) <= 1e-10 * abs(want)
 
 
 def _built_edges_by_definition(g1, g2=None):

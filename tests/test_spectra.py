@@ -11,8 +11,8 @@ from alphacentral import (Graph, InternalCheckError, ParameterError, Preconditio
                           coronal_kpq_alpha, coronal_regular, default_catalog,
                           degree_matrix, eigenvalues_sym, generate, hoffman_poly)
 from alphacentral.spectra import TOL_NUM, Polynomial, Spectrum
-from alphacentral.exactalg import det_exact
 from alphacentral.verify import _closed_and_built
+from reference import det_exact
 
 
 # --- the matrix family

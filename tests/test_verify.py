@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,51 @@ def test_coronal_all_samples_singular():
         coronal_equal_check(k2, k2, 0.0, [1.0, -1.0])
 
 
+def test_coronal_poles_are_the_cell_constant_eigenvalues():
+    # K2's coronal is 2/(x - 1): -1 is an eigenvalue of A(K2), but its
+    # eigenvector sums to 0, so it is no pole and the point stays
+    k2 = generate("complete", [2])
+    assert coronal_equal_check(k2, k2, 0.0, [-1.0, 5.0, 7.0, 9.0])
+
+
+def _dense_coronal_verdict(h1, h2, a, points):
+    """Whether the coronals agree at every point, each solved on the whole
+    A_alpha matrix."""
+    def coronal(h, x):
+        ones = np.ones(h.n)
+        return ones @ np.linalg.solve(x * np.eye(h.n) - a_alpha_matrix(h, a), ones)
+    return all(abs(coronal(h1, x) - coronal(h2, x)) <= 1e-9 for x in points)
+
+
+def test_coronal_equal_check_agrees_with_a_dense_reference():
+    rng = random.Random(31)
+
+    def random_graph(n):
+        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                    if rng.random() < rng.choice((0.2, 0.5))])
+
+    def relabelled(h):
+        label = rng.sample(range(h.n), h.n)
+        return Graph.from_edges(h.n, [(label[i], label[j]) for i, j in h.edges])
+
+    pairs = []
+    for _ in range(60):
+        h = random_graph(rng.randint(1, 12))
+        pairs += [(h, random_graph(rng.randint(1, 12))), (h, relabelled(h))]
+    pairs += [(generate("cycle", [12]), Graph.from_edges(12, [(i, (i + 1) % 5) for i in range(5)]
+                                                          + [(5 + i, 5 + (i + 1) % 7)
+                                                             for i in range(7)])),
+              (generate("petersen"), relabelled(_prism()))]
+    verdicts = []
+    for h1, h2 in pairs:
+        a = rng.choice((0.0, 0.5, 1.0, 1 - 1e-9, rng.random()))
+        points = coronal_sample_points(h1, h2, a)
+        verdict = coronal_equal_check(h1, h2, a, points)
+        assert verdict == _dense_coronal_verdict(h1, h2, a, points)
+        verdicts.append(verdict)
+    assert 60 < sum(verdicts) < len(pairs)
+
+
 def test_coronal_equal_too_few_points_raises():
     # equal coronals 10/(x - 3), but 5 points cannot rule out a difference
     # whose numerator has degree up to n1 + n2 - 1 = 19
@@ -171,7 +217,7 @@ def test_coronal_equal_too_few_points_raises():
 
 
 def test_coronal_equal_two_eigendecompositions(monkeypatch):
-    # an order-40 pair with 81 points: one decomposition per matrix, none
+    # an order-40 pair with 81 points: one decomposition per graph, none
     # per point
     h1 = generate("cycle", [40])
     h2 = Graph.from_edges(40, [(i, (i + 1) % 17) for i in range(17)]
@@ -183,9 +229,10 @@ def test_coronal_equal_two_eigendecompositions(monkeypatch):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _real=real, _name=name, **k:
-                            calls.append(_name) or _real(*a, **k))
+                            calls.append((_name, np.shape(a[0]))) or _real(*a, **k))
     assert coronal_equal_check(h1, h2, 0.4, pts)
-    assert calls == ["eigh", "eigh"]
+    # both graphs are 2-regular, so each quotient is one cell
+    assert calls == [("eigh", (1, 1)), ("eigh", (1, 1))]
 
 
 # --- cospectral families
