@@ -50,26 +50,28 @@ case.
 The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
 K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
 all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
-cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. One
-eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
-cell-constant vectors, sigma = 2 Delta(G2) + 1) splits G2 into the n2 - k
-other eigenvalues, the linear factors, and the k pairs (v_i, c_i); the
-central graph's split is empty. An r2-regular G2 is one cell, spanned by
-the all-ones vector, and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2), so
-its split is affine in alpha over its adjacency spectrum lambda: mu = alpha
-r2 + (1 - alpha) lambda with one copy of r2 dropped, v = [r2], c = [n2].
-The shift moves only the eigenvalue of the all-ones vector, so this is the
-same split without an eigensolve per alpha. K_{p,q} given as (p, q) is
-split explicitly: A(K_{p,q}) is zero on the vectors that sum to zero on
-each part, so mu is alpha q with multiplicity p - 1 and alpha p with
-multiplicity q - 1, and (v, c) come from the 2x2 symmetrized quotient
+cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. A Graph's cell
+count, cell sizes and quotient are read from Graph._quotient alone. One
+cell, as for every r2-regular G2, is read off, in the join as in the
+coronal check (spectra._coronal_quotient): the all-ones vector is an
+eigenvector with eigenvalue r2 at every alpha, so v = [r2] and c = [n2],
+and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2) makes mu affine in alpha
+over the adjacency spectrum lambda: mu = alpha r2 + (1 - alpha) lambda with
+one copy of r2 dropped. For k >= 2 one eigendecomposition of A_alpha(G2) +
+sigma P (P the projector onto cell-constant vectors, sigma = 2 Delta(G2) +
+1) splits G2 into the n2 - k other eigenvalues, the linear factors, and the
+k pairs (v_i, c_i); the central graph's split is empty. K_{p,q} given as
+(p, q) is split explicitly (_kpq_split, with no quotient formed):
+A(K_{p,q}) is zero on the vectors that sum to zero on each part, so mu is
+alpha q with multiplicity p - 1 and alpha p with multiplicity q - 1, and
+(v, c) come from the 2x2 symmetrized quotient
 [[alpha q, (1 - alpha) sqrt(pq)], [(1 - alpha) sqrt(pq), alpha p]] over the
-parts, with c_i = (u_i . (sqrt p, sqrt q))^2 for its unit eigenvectors
-u_i, found by one Jacobi rotation. So only a non-regular Graph G2 pays an
-eigensolve per alpha. The adjacency spectra of G1 and of a regular G2 are
-each solved once per Graph instance and kept on it (graphs.Graph), so a
-sweep over alphas solves neither again. The last bracket times the k
-linear factors it cancels is the characteristic polynomial of the arrowhead
+parts, with c_i = (u_i . (sqrt p, sqrt q))^2 for its unit eigenvectors u_i,
+found by one Jacobi rotation. So only a non-regular Graph G2 pays an eigensolve per alpha. The
+adjacency spectra of G1 and of a regular G2 are each solved once per Graph
+instance and kept on it (graphs.Graph), so a sweep over alphas solves
+neither again. The last bracket times the k linear factors it cancels is
+the characteristic polynomial of the arrowhead
 
     [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
      [.,                            2a,                0                 ],
@@ -99,7 +101,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .graphs import _sizes, regularity
-from .spectra import Spectrum, _check_alpha, _coronal_spectral, a_alpha_matrix
+from .spectra import Spectrum, _check_alpha, _coronal_quotient, _eigh_checked, a_alpha_matrix
 
 TOL_MATCH = 1e-8
 TOL_ROOT = 1e-10
@@ -415,20 +417,20 @@ def _g2_split(g2, a):
     (v, c) come from the eigenpairs of the 2x2 quotient over the parts, so
     the coronal factor of K_{p,q} is a quartic even when p = q.
 
-    For an r2-regular Graph the coarsest equitable partition is one cell,
-    spanned by the all-ones vector, and A_alpha(G2) = alpha r2 I + (1 -
-    alpha) A(G2) shares A(G2)'s eigenvectors. So the split is affine in
-    alpha over the graph's cached, checked adjacency spectrum: mu = alpha r2
-    + (1 - alpha) lambda with one copy of r2 dropped, v = [r2] and c = [n2],
-    since 1 is an r2-eigenvector with (1^T 1)^2 / n2 = n2. This is exactly
-    what the shifted eigendecomposition below finds for one cell, up to
-    rounding.
+    A Graph's cells come from Graph._quotient: its k cell-constant pairs
+    (v, c) are those of the coronal, spectra._coronal_quotient. An
+    r2-regular Graph is one cell, spanned by the all-ones vector, and its
+    pair is read off there as (r2, n2), with no eigensolve. A_alpha(G2) =
+    alpha r2 I + (1 - alpha) A(G2) shares A(G2)'s eigenvectors, so mu is
+    affine in alpha over the graph's cached, checked adjacency spectrum: mu
+    = alpha r2 + (1 - alpha) lambda with one copy of r2 dropped.
 
-    Otherwise each vertex is coloured by its cell in the coarsest equitable
-    partition (Graph._cell_colours). One checked eigendecomposition of
-    A_alpha(G2) + sigma P splits, by index, into the n2 - k eigenvalues
-    orthogonal to the cell-constant vectors and the k cell-constant pairs
-    (v_i, c_i), c_i = (x_i^T 1)^2 as in the coronal.
+    Otherwise (k >= 2) one checked eigendecomposition of A_alpha(G2) +
+    sigma P, P the projector onto the cell-constant vectors, built from
+    each vertex's cell (Graph._cell_colours) and the cell sizes, splits by
+    index into the n2 - k eigenvalues orthogonal to the cell-constant
+    vectors and the k cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as
+    in the coronal.
     """
     if isinstance(g2, tuple):
         return _kpq_split(*_sizes("complete_bipartite", g2, ("p", "q")), a)
@@ -436,19 +438,18 @@ def _g2_split(g2, a):
     if r2 is not None:
         # every adjacency eigenvalue but the largest (a copy of r2), descending
         mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
-        return mu, np.array([float(r2)]), np.array([float(g2.n)])
-    n2, colour = g2.n, g2._cell_colours
-    k = max(colour) + 1
+        return (mu, *_coronal_quotient(g2, a))
+    size = g2._quotient[2]
+    n2, k = g2.n, len(size)
 
     # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at
     # most its largest degree, so the cell-constant eigenvalues come last
     M = a_alpha_matrix(g2, a)
     sigma = 2 * M.sum(axis=1).max() + 1
-    colour = np.array(colour)
-    same = colour[:, None] == colour
-    M += sigma * (same / same.sum(axis=1))
-    w, c = _coronal_spectral(M)
-    return w[:n2 - k][::-1], w[n2 - k:] - sigma, c[n2 - k:]
+    colour = np.array(g2._cell_colours)
+    M += sigma * ((colour[:, None] == colour) / size[colour])
+    w, V = _eigh_checked(M)
+    return w[:n2 - k][::-1], w[n2 - k:] - sigma, V[:, n2 - k:].sum(axis=0) ** 2
 
 
 def _kpq_split(p, q, a):

@@ -2,8 +2,8 @@
 
 charpoly_int is the one exact engine: Hessenberg reduction and the
 Hessenberg recurrence, O(n^3) per prime, run on a (K, n, n) int64 stack of
-K word-size primes at once and reconstructed by CRT (Garner). The prime
-budget is Hadamard's bound on the principal minors: with row 2-norms
+K word-size primes at once and reconstructed by CRT over one basis. The
+prime budget is Hadamard's bound on the principal minors: with row 2-norms
 |r_i|, every coefficient is at most B = prod_i (1 + ceil(|r_i|)) in
 absolute value, B is computed in integer arithmetic, and primes are taken
 downward from the order's int64 limit until their product exceeds 2B, so
@@ -59,12 +59,14 @@ def _prime_below(p):
     raise ValueError("prime supply exhausted")
 
 
-def _crt_symmetric(residues, garner, prod):
-    """Combine residues into the integer of least absolute value."""
-    x = 0
-    for r, (p, radix, inv) in zip(residues, garner):
-        x += radix * ((r - x) * inv % p)
-    return x - prod if 2 * x > prod else x
+def _crt_symmetric(residues, primes, prod):
+    """For each row of residues, one residue per prime, the integer of least
+    absolute value with those residues; prod is the primes' product P. One
+    basis serves every row: e_k = (P / p_k) ((P / p_k)^-1 mod p_k) is 1 mod
+    p_k and 0 mod every other prime, so sum_k r_k e_k has the residues."""
+    basis = [prod // p * pow(prod // p, -1, p) for p in primes]
+    xs = (sum(map(operator.mul, r, basis)) % prod for r in residues)
+    return [x - prod if 2 * x > prod else x for x in xs]
 
 
 def _hessenberg_mod(H, p):
@@ -145,13 +147,7 @@ def charpoly_int(M):
     else:
         H = np.array([[[x % q for x in r] for r in rows] for q in primes], dtype=np.int64)
     _hessenberg_mod(H, p)
-    coeffs_mod = _hessenberg_charpoly_mod(H, p).T.tolist()
-    # Garner's constants: the product of the earlier primes and its inverse
-    garner, radix = [], 1
-    for q in primes:
-        garner.append((q, radix, pow(radix, -1, q)))
-        radix *= q
-    return [_crt_symmetric(c, garner, prod) for c in coeffs_mod]
+    return _crt_symmetric(_hessenberg_charpoly_mod(H, p).T.tolist(), primes, prod)
 
 
 def _row_norm_bound(rows):

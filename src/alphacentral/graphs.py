@@ -231,16 +231,17 @@ class Graph:
 
     @cached_property
     def _quotient(self):
-        """(d, R, r), read-only: the alpha-free parts of the symmetrized
+        """(d, R, s), read-only: the alpha-free parts of the symmetrized
         quotient of A_alpha over the coarsest equitable partition, whose
-        k cells are numbered as in _cell_colours.
+        k cells are numbered as in _cell_colours. The package reads the
+        number of cells, their sizes and the quotient only from here.
 
         B[X, Y] counts the neighbours in cell Y of a vertex of cell X; d =
-        B 1 holds the cells' degrees, R = sqrt(B o B^T) and r = sqrt(s) for
-        the cell sizes s. A_alpha acts on the cell-constant vectors as
-        alpha diag(d) + (1 - alpha) B, and s_X B[X, Y] = s_Y B[Y, X]
-        counts the edges between X and Y, so diag(r) conjugates that action
-        into the symmetric alpha diag(d) + (1 - alpha) R (Godsil and Royle,
+        B 1 holds the cells' degrees, R = sqrt(B o B^T) and s the cell
+        sizes. A_alpha acts on the cell-constant vectors as alpha diag(d) +
+        (1 - alpha) B, and s_X B[X, Y] = s_Y B[Y, X] counts the edges
+        between X and Y, so diag(sqrt(s)) conjugates that action into the
+        symmetric alpha diag(d) + (1 - alpha) R (Godsil and Royle,
         Algebraic Graph Theory, section 9.3). Counted from the edge index in
         O(m + k^2).
         """
@@ -251,7 +252,7 @@ class Graph:
         ends = np.bincount(np.concatenate([X * k + Y, Y * k + X]), minlength=k * k)
         size = np.bincount(colour, minlength=k)
         B = ends.reshape(k, k) / size[:, None]
-        return tuple(map(_read_only, (B.sum(axis=1), np.sqrt(B * B.T), np.sqrt(size))))
+        return tuple(map(_read_only, (B.sum(axis=1), np.sqrt(B * B.T), size)))
 
     @cached_property
     def _adjacency(self):

@@ -289,21 +289,12 @@ def coronal_eval(M, x):
 
     With M = V diag(w) V^T, Gamma(x) = sum_i c_i / (x - w_i) where
     c_i = (v_i^T 1)^2: one O(n^3) eigendecomposition, then O(n) per point.
-    Callers evaluating many points take (w, c) once from _coronal_spectral.
-    Raises SingularityError when x is within TOL_SING of an eigenvalue.
-    """
-    w, c = _coronal_spectral(M)
-    return float(_coronal_values(w, c, x))
-
-
-def _coronal_spectral(M):
-    """(w, c) with Gamma_M(x) = sum(c / (x - w)) for symmetric M.
-
     Within a repeated eigenvalue the eigenvectors are arbitrary, but the sum
     of their c_i is ||P_i 1||^2 for the eigenprojection P_i, so Gamma is not.
+    Raises SingularityError when x is within TOL_SING of an eigenvalue.
     """
     w, V = _eigh_checked(M)
-    return w, V.sum(axis=0) ** 2
+    return float(_coronal_values(w, V.sum(axis=0) ** 2, x))
 
 
 def _coronal_quotient(G, a):
@@ -314,18 +305,22 @@ def _coronal_quotient(G, a):
     The cell-constant vectors span an A_a(G)-invariant space that holds
     the all-ones vector, so only their k eigenpairs carry weight, and a
     unit eigenvector u of S gives c = (u^T sqrt(s))^2 for the cell sizes
-    s. One checked eigensolve of order k per alpha, and k = 1 for a
-    regular graph; w holds the k cell-constant eigenvalues, so the other
-    n - k eigenvalues of A_a(G) are not poles.
+    s. One cell (every regular graph) is read off with no eigensolve: the
+    all-ones vector is an eigenvector of A_a(G) with eigenvalue d at every
+    a, so (w, c) = (d, s). Otherwise one checked eigensolve of order k per
+    alpha. w holds the k cell-constant eigenvalues, so the other n - k
+    eigenvalues of A_a(G) are not poles.
     """
-    d, R, root_size = G._quotient
+    d, R, s = G._quotient
+    if len(s) == 1:
+        return d, s
     w, U = _eigh_checked(a * np.diag(d) + (1 - a) * R)
-    return w, (root_size @ U) ** 2
+    return w, (np.sqrt(s) @ U) ** 2
 
 
 def _coronal_values(w, c, x):
-    """Gamma at x (a scalar, or an array of points) from _coronal_spectral
-    or _coronal_quotient."""
+    """Gamma at x (a scalar, or an array of points) from the (w, c) of
+    coronal_eval or _coronal_quotient."""
     d = np.asarray(x, dtype=float)[..., None] - w
     if d.size:
         gap = np.min(np.abs(d))

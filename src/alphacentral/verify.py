@@ -27,10 +27,10 @@ from . import exactalg
 from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_regular,
                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
-from .errors import PreconditionError, SingularityError
+from .errors import ParameterError, PreconditionError, SingularityError
 from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
 from .spectra import (TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
-                      _coronal_values, a_alpha_matrix, char_poly, eigenvalues_sym)
+                      a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
 @dataclass(frozen=True)
@@ -245,34 +245,44 @@ def coronal_equal_check(h1, h2, alpha, sample_points):
     """Test Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} at sample points.
 
     Each coronal comes from its graph's symmetrized quotient over the
-    coarsest equitable partition (spectra._coronal_quotient): one checked
-    eigensolve of order k per graph and alpha, k the graph's cell count (1
-    for a regular graph), on the alpha-free quotient that the Graph keeps
-    after its first call (O(m + k^2) once, with the colour refinement).
-    Each point then costs O(k1 + k2). The poles are the k1 + k2
-    cell-constant eigenvalues, and points within TOL_SING of one are
-    dropped first; a point near another eigenvalue of A_alpha is no pole
-    and is kept. The coronal of an order-n matrix is p/q with deg q = n
-    and deg p <= n - 1, so Gamma_1 - Gamma_2 has a numerator of degree
-    <= n1 + n2 - 1: one disagreeing point proves the coronals differ, and
-    agreement at n1 + n2 distinct usable points proves identity. When every
-    usable point agrees but fewer than n1 + n2 distinct ones remain,
-    raises SingularityError. coronal_sample_points supplies enough.
+    coarsest equitable partition (spectra._coronal_quotient): a graph of
+    one cell (every regular graph) is read off with no eigensolve, and
+    otherwise one checked eigensolve of order k, its cell count, per graph
+    and alpha, on the alpha-free quotient that the Graph keeps after its
+    first call (O(m + k^2) once, with the colour refinement). Each point
+    then costs O(k1 + k2). A sample point that is not finite raises
+    ParameterError. The poles are the k1 + k2 cell-constant eigenvalues,
+    and points within TOL_SING of one are dropped first; a point near
+    another eigenvalue of A_alpha is no pole and is kept.
+
+    Over the quotient each coronal is p/q with deg q = k and deg p <= k -
+    1, so Gamma_1 - Gamma_2 has a numerator of degree <= k1 + k2 - 1: one
+    disagreeing point proves the coronals differ, and agreement at k1 + k2
+    distinct usable points proves identity. A point agrees when |Gamma_1 -
+    Gamma_2| <= TOL_NUM min(1, S), S the sum of |c / (x - w)| over the
+    terms of both coronals: far above the spectra both coronals shrink
+    like n / x, where an absolute TOL_NUM alone would call any two equal.
+    When every usable point agrees but fewer than k1 + k2 distinct ones
+    remain, raises SingularityError. coronal_sample_points supplies
+    enough.
     """
     a = float(_check_alpha(alpha))
     w1, c1 = _coronal_quotient(h1, a)
     w2, c2 = _coronal_quotient(h2, a)
     x = np.array(sorted({float(x) for x in sample_points}))
-    poles = np.concatenate([w1, w2])
-    x = x[np.all(np.abs(x[:, None] - poles) >= TOL_SING, axis=1)]
-    gap = np.abs(_coronal_values(w1, c1, x) - _coronal_values(w2, c2, x))
-    if np.any(gap > TOL_NUM):
+    if not np.isfinite(x).all():
+        raise ParameterError(f"sample points must be finite, got {x[~np.isfinite(x)][0]}")
+    gaps = x[:, None] - np.concatenate([w1, w2])
+    gaps = gaps[np.all(np.abs(gaps) >= TOL_SING, axis=1)]
+    # the terms of Gamma_1 - Gamma_2 at each usable point, one row per point
+    terms = np.concatenate([c1, -c2]) / gaps
+    if np.any(np.abs(terms.sum(axis=1)) > TOL_NUM * np.minimum(1, np.abs(terms).sum(axis=1))):
         return False
-    need = h1.n + h2.n
-    if len(x) < need:
+    need = len(w1) + len(w2)
+    if len(gaps) < need:
         raise SingularityError(
-            f"coronals agree at all {len(x)} distinct sample points that clear "
-            f"the poles by TOL_SING; proving equality needs n1 + n2 = {need}")
+            f"coronals agree at all {len(gaps)} distinct sample points that clear "
+            f"the poles by TOL_SING; proving equality needs k1 + k2 = {need}")
     return True
 
 

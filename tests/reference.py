@@ -37,6 +37,17 @@ def det_exact(M):
     return sign * det
 
 
+def crt_garner(residues, primes):
+    """The integer of least absolute value with the given residues modulo
+    the given distinct primes, by Garner's mixed-radix recurrence: each
+    step fixes the next digit modulo the next prime."""
+    x, radix = 0, 1
+    for r, p in zip(residues, primes):
+        x += radix * ((r - x) * pow(radix, -1, p) % p)
+        radix *= p
+    return x - radix if 2 * x > radix else x
+
+
 def colours_by_rounds(G):
     """The coarsest equitable partition of G as Graph._cell_colours gives
     it, by plain colour refinement: every round recolours every vertex by

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from alphacentral import (InternalCheckError, ParameterError, Polynomial,
                           a_alpha_matrix, central_vertex_join, char_poly, exactalg,
                           generate)
-from alphacentral.exactalg import (_is_prime, _prime_below, _primes_above,
+from alphacentral.exactalg import (_crt_symmetric, _is_prime, _prime_below, _primes_above,
                                    _row_norm_bound, charpoly_exact, charpoly_int)
-from reference import det_exact
+from reference import crt_garner, det_exact
 
 
 def _assert_charpoly_matches_det(m, coeffs, xs):
@@ -28,6 +28,23 @@ def test_prime_spot_checks():
     assert not _is_prime(1) and not _is_prime(268435398) and not _is_prime(25)
     for n in range(-2, 3000):
         assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+def test_crt_basis_agrees_with_garner_on_random_residues():
+    rng = random.Random(47)
+    engine = [_prime_below(2 ** 30)]
+    while len(engine) < 9:
+        engine.append(_prime_below(engine[-1]))
+    for primes in ([7], [3, 5, 7], engine[:1], engine[:2], engine[:5], engine):
+        prod = math.prod(primes)
+        # the symmetric range: negative values, both ends and zero included
+        values = [0, 1, -1, prod // 2, -(prod // 2)]
+        values += [rng.randrange(-(prod // 2), prod // 2 + 1) for _ in range(40)]
+        rows = [[v % p for p in primes] for v in values]
+        rows += [[rng.randrange(p) for p in primes] for _ in range(40)]
+        got = _crt_symmetric(rows, primes, prod)
+        assert got == [crt_garner(r, primes) for r in rows]
+        assert got[:len(values)] == values
 
 
 def test_charpoly_int_swap_matrix():

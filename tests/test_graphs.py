@@ -492,13 +492,13 @@ def test_cell_colours_match_the_round_based_refinement():
 def test_quotient_counts_the_neighbours_in_each_cell():
     # P5's cells {0, 4}, {1, 3}, {2}: an end has one neighbour in {1, 3},
     # vertex 1 one in each other cell, the centre two in {1, 3}
-    d, R, root_size = generate("path", [5])._quotient
+    d, R, size = generate("path", [5])._quotient
     B = np.array([[0, 1, 0], [1, 0, 1], [0, 2, 0]])
     assert d.tolist() == [1, 2, 2]
     assert np.array_equal(R, np.sqrt(B * B.T))
-    assert np.array_equal(root_size, np.sqrt([2, 2, 1]))
-    d, R, root_size = generate("petersen")._quotient
-    assert (d.tolist(), R.tolist(), root_size.tolist()) == ([3.0], [[3.0]], [10 ** 0.5])
+    assert size.tolist() == [2, 2, 1]
+    d, R, size = generate("petersen")._quotient
+    assert (d.tolist(), R.tolist(), size.tolist()) == ([3.0], [[3.0]], [10])
 
 
 def test_is_connected_on_one_and_two_isolated_vertices():

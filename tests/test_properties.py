@@ -1,7 +1,8 @@
 """Property tests: every rooted closed form against the eigensolver on the
 explicitly built matrix, over regular base graphs, arbitrary second graphs
-of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly; and the
-quotient coronal against the resolvent of the whole matrix."""
+of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly; the
+quotient coronal against the resolvent of the whole matrix; and the coronal
+check far above the spectra."""
 
 import random
 from itertools import combinations
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix, central_graph,
-                          central_vertex_join, format_edge_list, generate,
+                          central_vertex_join, coronal_equal_check, format_edge_list, generate,
                           is_connected, parse_edge_list, spectrum_central_regular,
                           spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH
@@ -138,6 +139,21 @@ def test_quotient_coronal_matches_the_resolvent(g, a):
     for x in max(g.degree_sequence) + np.array([0.5, 1.0, 3.7, 40.0]):
         want = ones @ np.linalg.solve(x * np.eye(g.n) - M, ones)
         assert abs(_coronal_values(w, c, x) - want) <= 1e-10 * abs(want)
+
+
+@SETTINGS
+@given(g=any_graphs(max_order=10), other=any_graphs(max_order=10), a=alphas,
+       base=st.floats(1e6, 1e12), data=st.data())
+def test_coronal_check_far_above_the_spectra(g, other, a, base, data):
+    """Far above both spectra a coronal is about n / x. At 20 points from
+    base in [1e6, 1e12] a relabelled copy agrees, and a graph of another
+    order differs by a share 1/20 or more of the coronals' size."""
+    points = [base + k for k in range(20)]
+    label = data.draw(st.permutations(range(g.n)))
+    copy = Graph.from_edges(g.n, [(label[i], label[j]) for i, j in g.edges])
+    assert coronal_equal_check(g, copy, a, points)
+    if other.n != g.n:
+        assert not coronal_equal_check(g, other, a, points)
 
 
 def _built_edges_by_definition(g1, g2=None):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alphacentral import (PreconditionError, SingularityError, a_alpha_matrix,
+from alphacentral import (ParameterError, PreconditionError, SingularityError, a_alpha_matrix,
                           adjacency_matrix, coronal_equal_check,
                           cospectral_cvjoin_family, eigenvalues_sym,
                           formula_discrepancy_notes, generate, spectra_equal,
@@ -204,35 +204,62 @@ def test_coronal_equal_check_agrees_with_a_dense_reference():
 
 
 def test_coronal_equal_too_few_points_raises():
-    # equal coronals 10/(x - 3), but 5 points cannot rule out a difference
-    # whose numerator has degree up to n1 + n2 - 1 = 19
+    # equal coronals 10/(x - 3), each over one cell, so a difference would
+    # have a numerator of degree at most k1 + k2 - 1 = 1: one point cannot
+    # rule it out, two prove equality
     pet, prism = generate("petersen"), _prism()
     pts = coronal_sample_points(pet, prism, 0.5)
-    with pytest.raises(SingularityError, match="20"):
-        coronal_equal_check(pet, prism, 0.5, pts[:5])
+    with pytest.raises(SingularityError, match="k1 \\+ k2 = 2"):
+        coronal_equal_check(pet, prism, 0.5, pts[:1])
     # a repeated point counts once
     with pytest.raises(SingularityError):
-        coronal_equal_check(pet, prism, 0.5, pts[:19] + pts[:1])
-    assert coronal_equal_check(pet, prism, 0.5, pts[:20])
+        coronal_equal_check(pet, prism, 0.5, pts[:1] * 3)
+    assert coronal_equal_check(pet, prism, 0.5, pts[:2])
+    k2 = generate("complete", [2])
+    assert coronal_equal_check(k2, k2, 0.0, [5, 7])
 
 
-def test_coronal_equal_two_eigendecompositions(monkeypatch):
-    # an order-40 pair with 81 points: one decomposition per graph, none
-    # per point
-    h1 = generate("cycle", [40])
-    h2 = Graph.from_edges(40, [(i, (i + 1) % 17) for i in range(17)]
-                          + [(17 + i, 17 + (i + 1) % 23) for i in range(23)])
-    pts = coronal_sample_points(h1, h2, 0.4)
+def test_coronal_check_is_relative_far_above_the_spectra():
+    # 2/(x - 1) and 5/(x - 2), and 10/(x - 3) against 5/(x - 2), differ by
+    # less than TOL_NUM at 1e10, but by a third of their sizes or more
+    k2, c5, pet = generate("complete", [2]), generate("cycle", [5]), generate("petersen")
+    assert not coronal_equal_check(k2, c5, 0.0, [1e10 + k for k in range(7)])
+    assert not coronal_equal_check(pet, c5, 0.5, [1e10 + k for k in range(15)])
+    assert coronal_equal_check(pet, _prism(), 0.5, [1e10, 1e10 + 1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_coronal_check_refuses_a_point_that_is_not_finite(bad):
+    # 2/(x - 1) and 3/(x - 2) meet only at -1; both vanish at infinity
+    k2, k3 = generate("complete", [2]), generate("complete", [3])
+    with pytest.raises(ParameterError, match="finite"):
+        coronal_equal_check(k2, k3, 0.0, [-1.0, bad, 1e10, 1e10 + 1, 1e10 + 2])
+    with pytest.raises(ParameterError, match="finite"):
+        coronal_equal_check(k2, k3, 0.0, [-1.0, bad])
+
+
+def test_coronal_equal_eigensolves_only_multi_cell_quotients(monkeypatch):
+    # order-40 pairs with 81 points: none per point; a regular graph is one
+    # cell, read off with no eigensolve, and C17 U P23 has k2 > 1 cells
+    c40 = generate("cycle", [40])
+    cycles = Graph.from_edges(40, [(i, (i + 1) % 17) for i in range(17)]
+                              + [(17 + i, 17 + (i + 1) % 23) for i in range(23)])
+    cycle_and_path = Graph.from_edges(40, [(i, (i + 1) % 17) for i in range(17)]
+                                      + [(17 + i, 18 + i) for i in range(22)])
+    pts = coronal_sample_points(c40, cycles, 0.4)
     assert len(pts) == 81
     calls = []
-    for name in ("eigh", "eigvalsh", "solve"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _real=real, _name=name, **k:
                             calls.append((_name, np.shape(a[0]))) or _real(*a, **k))
-    assert coronal_equal_check(h1, h2, 0.4, pts)
-    # both graphs are 2-regular, so each quotient is one cell
-    assert calls == [("eigh", (1, 1)), ("eigh", (1, 1))]
+    assert coronal_equal_check(c40, cycles, 0.4, pts)
+    assert calls == []
+    assert not coronal_equal_check(c40, cycle_and_path, 0.4, pts)
+    k2 = len(cycle_and_path._quotient[2])
+    assert k2 == 13  # the path's 12 distances to its nearer end, and the cycle
+    assert calls == [("eigh", (k2, k2))]
 
 
 # --- cospectral families
