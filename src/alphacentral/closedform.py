@@ -52,26 +52,30 @@ K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
 all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
 cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. A Graph's cell
 count, cell sizes and quotient are read from Graph._quotient alone. One
-cell, as for every r2-regular G2, is read off, in the join as in the
-coronal check (spectra._coronal_quotient): the all-ones vector is an
+solver, spectra._coronal_quotient, turns a quotient into its pairs (v, c),
+for the coronal check and for a regular or (p, q) G2 in the join: one
+cell is read off, two cells take one Jacobi rotation in closed form, and
+k >= 3 cells one checked eigensolve of order k.
+
+One cell, as for every r2-regular G2: the all-ones vector is an
 eigenvector with eigenvalue r2 at every alpha, so v = [r2] and c = [n2],
 and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2) makes mu affine in alpha
-over the adjacency spectrum lambda: mu = alpha r2 + (1 - alpha) lambda with
-one copy of r2 dropped. For k >= 2 one eigendecomposition of A_alpha(G2) +
-sigma P (P the projector onto cell-constant vectors, sigma = 2 Delta(G2) +
-1) splits G2 into the n2 - k other eigenvalues, the linear factors, and the
-k pairs (v_i, c_i); the central graph's split is empty. K_{p,q} given as
-(p, q) is split explicitly (_kpq_split, with no quotient formed):
-A(K_{p,q}) is zero on the vectors that sum to zero on each part, so mu is
-alpha q with multiplicity p - 1 and alpha p with multiplicity q - 1, and
-(v, c) come from the 2x2 symmetrized quotient
-[[alpha q, (1 - alpha) sqrt(pq)], [(1 - alpha) sqrt(pq), alpha p]] over the
-parts, with c_i = (u_i . (sqrt p, sqrt q))^2 for its unit eigenvectors u_i,
-found by one Jacobi rotation. So only a non-regular Graph G2 pays an eigensolve per alpha. The
-adjacency spectra of G1 and of a regular G2 are each solved once per Graph
-instance and kept on it (graphs.Graph), so a sweep over alphas solves
-neither again. The last bracket times the k linear factors it cancels is
-the characteristic polynomial of the arrowhead
+over the adjacency spectrum lambda: mu = alpha r2 + (1 - alpha) lambda
+with one copy of r2 dropped. K_{p,q} given as (p, q) is two cells, its
+quotient written down as d = (q, p), R = [[0, sqrt(pq)], [sqrt(pq), 0]]
+and s = (p, q), with no graph formed: A(K_{p,q}) is zero on the vectors
+that sum to zero on each part, so mu is alpha q with multiplicity p - 1
+and alpha p with multiplicity q - 1. For any other G2 (k >= 2) one
+eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
+cell-constant vectors, sigma = 2 Delta(G2) + 1) splits G2 into the n2 - k
+other eigenvalues, the linear factors, and the k pairs (v_i, c_i); the
+central graph's split is empty. So only a non-regular Graph G2 pays an
+eigensolve per alpha. The adjacency spectra of G1 and of a regular G2 are
+each solved once per Graph instance and kept on it (graphs.Graph), so a
+sweep over alphas solves neither again.
+
+The last bracket times the k linear factors it cancels is the
+characteristic polynomial of the arrowhead
 
     [[a(n1-1+n2) + (1-a)(n1-1-r1),  (1-a) sqrt(2 r1),  (1-a) sqrt(n1 c)^T],
      [.,                            2a,                0                 ],
@@ -411,34 +415,44 @@ def _g2_split(g2, a):
     """The split (mu, v, c) of a second graph that _charpoly_join takes.
 
     g2 is any Graph, or a (p, q) tuple for K_{p,q}, its sizes decided by
-    graphs._sizes as generate decides them. A tuple is split over
-    the parts {P, Q} in closed form, with no eigensolve (_kpq_split): mu is
-    alpha q with multiplicity p - 1 and alpha p with multiplicity q - 1, and
-    (v, c) come from the eigenpairs of the 2x2 quotient over the parts, so
-    the coronal factor of K_{p,q} is a quartic even when p = q.
+    graphs._sizes as generate decides them. Every pair (v, c) but those of
+    the generic branch below comes from spectra._coronal_quotient, on the
+    Graph's Graph._quotient or on the quotient of the tuple.
 
-    A Graph's cells come from Graph._quotient: its k cell-constant pairs
-    (v, c) are those of the coronal, spectra._coronal_quotient. An
-    r2-regular Graph is one cell, spanned by the all-ones vector, and its
-    pair is read off there as (r2, n2), with no eigensolve. A_alpha(G2) =
-    alpha r2 I + (1 - alpha) A(G2) shares A(G2)'s eigenvectors, so mu is
-    affine in alpha over the graph's cached, checked adjacency spectrum: mu
-    = alpha r2 + (1 - alpha) lambda with one copy of r2 dropped.
+    A tuple is split over the parts {P, Q} with no eigensolve: A(K_{p,q})
+    is zero on every vector that sums to zero on each part, and the degree
+    is q on P and p on Q, so mu is alpha q with multiplicity p - 1 and
+    alpha p with multiplicity q - 1. Its quotient is written down as plain
+    Python numbers, d = (q, p), R = [[0, sqrt(pq)], [sqrt(pq), 0]] and s =
+    (p, q), with no graph or array formed, and its two pairs come from one
+    rotation, so the coronal factor of K_{p,q} is a quartic even when p =
+    q.
+
+    An r2-regular Graph is one cell, spanned by the all-ones vector, and
+    its pair is read off as (r2, n2). A_alpha(G2) = alpha r2 I + (1 -
+    alpha) A(G2) shares A(G2)'s eigenvectors, so mu is affine in alpha
+    over the graph's cached, checked adjacency spectrum: mu = alpha r2 +
+    (1 - alpha) lambda with one copy of r2 dropped.
 
     Otherwise (k >= 2) one checked eigendecomposition of A_alpha(G2) +
     sigma P, P the projector onto the cell-constant vectors, built from
     each vertex's cell (Graph._cell_colours) and the cell sizes, splits by
     index into the n2 - k eigenvalues orthogonal to the cell-constant
     vectors and the k cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as
-    in the coronal.
+    in the coronal. That solve is needed for mu, so the pairs are read off
+    it rather than solved again on the quotient.
     """
     if isinstance(g2, tuple):
-        return _kpq_split(*_sizes("complete_bipartite", g2, ("p", "q")), a)
+        p, q = _sizes("complete_bipartite", g2, ("p", "q"))
+        (hi, n_hi), (lo, n_lo) = sorted(((a * q, p - 1), (a * p, q - 1)), reverse=True)
+        y = math.sqrt(p * q)
+        mu = np.array([hi] * n_hi + [lo] * n_lo)
+        return (mu, *_coronal_quotient(((q, p), ((0.0, y), (y, 0.0)), (p, q)), a))
     r2 = regularity(g2)
     if r2 is not None:
         # every adjacency eigenvalue but the largest (a copy of r2), descending
         mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
-        return (mu, *_coronal_quotient(g2, a))
+        return (mu, *_coronal_quotient(g2._quotient, a))
     size = g2._quotient[2]
     n2, k = g2.n, len(size)
 
@@ -450,36 +464,6 @@ def _g2_split(g2, a):
     M += sigma * ((colour[:, None] == colour) / size[colour])
     w, V = _eigh_checked(M)
     return w[:n2 - k][::-1], w[n2 - k:] - sigma, V[:, n2 - k:].sum(axis=0) ** 2
-
-
-def _kpq_split(p, q, a):
-    """The split of K_{p,q} over its parts {P, Q}, without an eigensolve.
-
-    A(K_{p,q}) is zero on every vector that sums to zero on each part, and
-    the degree is q on P and p on Q, so mu is a q with multiplicity p - 1
-    and a p with multiplicity q - 1. The two cell-constant pairs are those
-    of the symmetrized quotient B = [[a q, y], [y, a p]], y = (1 - a)
-    sqrt(pq), over the unit cell vectors 1_P / sqrt(p) and 1_Q / sqrt(q): a
-    unit eigenvector u of B is u_1 1_P / sqrt(p) + u_2 1_Q / sqrt(q) in
-    A_alpha(K_{p,q}), so c = (u_1 sqrt(p) + u_2 sqrt(q))^2. One Jacobi
-    rotation diagonalizes B (Golub and Van Loan, Matrix Computations,
-    section 8.5); it divides only by y, and B is diagonal where y = 0
-    (alpha = 1). The residues of coronal_kpq_alpha would instead divide by
-    the gap between B's eigenvalues, which is 0 at p = q, alpha = 1.
-    """
-    (hi, n_hi), (lo, n_lo) = sorted(((a * q, p - 1), (a * p, q - 1)), reverse=True)
-    x, z, y = a * q, a * p, (1 - a) * math.sqrt(p * q)
-    t = 0.0  # tan of the rotation angle, at most 1 in size
-    if y:
-        tau = (z - x) / (2 * y)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    cos = 1 / math.sqrt(1 + t * t)
-    sin = t * cos
-    sp, sq = math.sqrt(p), math.sqrt(q)
-    # B (cos, -sin) = (x - t y)(cos, -sin) and B (sin, cos) = (z + t y)(sin, cos)
-    (v1, c1), (v2, c2) = sorted(((x - t * y, (cos * sp - sin * sq) ** 2),
-                                 (z + t * y, (sin * sp + cos * sq) ** 2)))
-    return np.array([hi] * n_hi + [lo] * n_lo), np.array([v1, v2]), np.array([c1, c2])
 
 
 def charpoly_cvjoin(G1, g2, alpha):

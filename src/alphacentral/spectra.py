@@ -285,49 +285,68 @@ def _from_roots(roots, scale=1.0):
 # coronals: Gamma_M(x) = sum of entries of (xI - M)^{-1}
 
 def coronal_eval(M, x):
-    """Evaluate the coronal of a symmetric matrix at x in spectral form.
+    """Evaluate the coronal of a symmetric matrix at a point x in spectral
+    form.
 
     With M = V diag(w) V^T, Gamma(x) = sum_i c_i / (x - w_i) where
     c_i = (v_i^T 1)^2: one O(n^3) eigendecomposition, then O(n) per point.
     Within a repeated eigenvalue the eigenvectors are arbitrary, but the sum
     of their c_i is ||P_i 1||^2 for the eigenprojection P_i, so Gamma is not.
-    Raises SingularityError when x is within TOL_SING of an eigenvalue.
+    A graph's coronal needs only its k cell-constant pairs, which
+    _coronal_quotient gives without the whole matrix. Raises
+    SingularityError when x is within TOL_SING of an eigenvalue.
     """
     w, V = _eigh_checked(M)
-    return float(_coronal_values(w, V.sum(axis=0) ** 2, x))
+    d = float(x) - w
+    gap = np.abs(d).min(initial=math.inf)
+    if gap < TOL_SING:
+        raise SingularityError(
+            f"x={x} is within {gap:.2e} of the spectrum (tolerance {TOL_SING:.0e})")
+    return float((V.sum(axis=0) ** 2 / d).sum())
 
 
-def _coronal_quotient(G, a):
-    """(w, c) with Gamma_{A_a(G)}(x) = sum(c / (x - w)) for a Graph G and a
-    float a, from the k x k symmetrized quotient over the coarsest
-    equitable partition (Graph._quotient): S = a diag(d) + (1 - a) R.
+def _coronal_quotient(quotient, a):
+    """(w, c), w ascending, with Gamma_{A_a(G)}(x) = sum(c / (x - w)), for a
+    float a and the alpha-free quotient (d, R, s) of a graph G over k
+    cells (Graph._quotient, or K_{p,q}'s two parts written down by
+    closedform._g2_split): the coronal lives on the k x k symmetrized
+    quotient S = a diag(d) + (1 - a) R. The one place where a quotient
+    becomes coronal pairs.
 
     The cell-constant vectors span an A_a(G)-invariant space that holds
     the all-ones vector, so only their k eigenpairs carry weight, and a
     unit eigenvector u of S gives c = (u^T sqrt(s))^2 for the cell sizes
-    s. One cell (every regular graph) is read off with no eigensolve: the
-    all-ones vector is an eigenvector of A_a(G) with eigenvalue d at every
-    a, so (w, c) = (d, s). Otherwise one checked eigensolve of order k per
-    alpha. w holds the k cell-constant eigenvalues, so the other n - k
+    s. w holds the k cell-constant eigenvalues, so the other n - k
     eigenvalues of A_a(G) are not poles.
+
+    - One cell (every regular graph) is read off: the all-ones vector is an
+      eigenvector of A_a(G) with eigenvalue d at every a, so (w, c) = (d, s).
+    - Two cells are diagonalized by one Jacobi rotation in closed form
+      (Golub and Van Loan, Matrix Computations, section 8.5), in scalar
+      arithmetic. It divides only by S's off-diagonal entry y, and S is
+      diagonal where y = 0 (a = 1, or no edge between the cells). The
+      residues of coronal_kpq_alpha would instead divide by the gap
+      between S's eigenvalues, which is 0 at p = q, a = 1.
+    - Three cells or more take one checked eigensolve of order k per alpha.
     """
-    d, R, s = G._quotient
+    d, R, s = quotient
     if len(s) == 1:
         return d, s
+    if len(s) == 2:
+        (r00, r01), (_, r11) = R
+        x, z, y = a * d[0] + (1 - a) * r00, a * d[1] + (1 - a) * r11, (1 - a) * r01
+        # t, the tan of the rotation angle, is at most 1 in size, and 0 where y = 0
+        tau = (z - x) / (2 * y) if y else math.inf
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        cos = 1 / math.sqrt(1 + t * t)
+        sin = t * cos
+        sp, sq = math.sqrt(s[0]), math.sqrt(s[1])
+        # S (cos, -sin) = (x - t y)(cos, -sin) and S (sin, cos) = (z + t y)(sin, cos)
+        (w1, c1), (w2, c2) = sorted(((x - t * y, (cos * sp - sin * sq) ** 2),
+                                     (z + t * y, (sin * sp + cos * sq) ** 2)))
+        return np.array([w1, w2]), np.array([c1, c2])
     w, U = _eigh_checked(a * np.diag(d) + (1 - a) * R)
     return w, (np.sqrt(s) @ U) ** 2
-
-
-def _coronal_values(w, c, x):
-    """Gamma at x (a scalar, or an array of points) from the (w, c) of
-    coronal_eval or _coronal_quotient."""
-    d = np.asarray(x, dtype=float)[..., None] - w
-    if d.size:
-        gap = np.min(np.abs(d))
-        if gap < TOL_SING:
-            raise SingularityError(
-                f"x={x} is within {gap:.2e} of the spectrum (tolerance {TOL_SING:.0e})")
-    return (c / d).sum(axis=-1)
 
 
 def coronal_regular(n, a):

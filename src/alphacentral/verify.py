@@ -29,7 +29,7 @@ from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_
 from .construct import central_graph, central_vertex_join
 from .errors import ParameterError, PreconditionError, SingularityError
 from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
-from .spectra import (TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
+from .spectra import (TOL_EIG, TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
                       a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
@@ -245,15 +245,15 @@ def coronal_equal_check(h1, h2, alpha, sample_points):
     """Test Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} at sample points.
 
     Each coronal comes from its graph's symmetrized quotient over the
-    coarsest equitable partition (spectra._coronal_quotient): a graph of
-    one cell (every regular graph) is read off with no eigensolve, and
-    otherwise one checked eigensolve of order k, its cell count, per graph
-    and alpha, on the alpha-free quotient that the Graph keeps after its
-    first call (O(m + k^2) once, with the colour refinement). Each point
-    then costs O(k1 + k2). A sample point that is not finite raises
-    ParameterError. The poles are the k1 + k2 cell-constant eigenvalues,
-    and points within TOL_SING of one are dropped first; a point near
-    another eigenvalue of A_alpha is no pole and is kept.
+    coarsest equitable partition, Graph._quotient, which the Graph keeps
+    after its first call (O(m + k^2) once, with the colour refinement),
+    through spectra._coronal_quotient: a graph of one cell (every regular
+    graph) is read off, one of two cells takes one rotation in closed form,
+    and one of k >= 3 cells one checked eigensolve of order k per alpha.
+    Each point then costs O(k1 + k2). A sample point that is not finite
+    raises ParameterError. The poles are the k1 + k2 cell-constant
+    eigenvalues, and points within TOL_SING of one are dropped first; a
+    point near another eigenvalue of A_alpha is no pole and is kept.
 
     Over the quotient each coronal is p/q with deg q = k and deg p <= k -
     1, so Gamma_1 - Gamma_2 has a numerator of degree <= k1 + k2 - 1: one
@@ -265,25 +265,37 @@ def coronal_equal_check(h1, h2, alpha, sample_points):
     When every usable point agrees but fewer than k1 + k2 distinct ones
     remain, raises SingularityError. coronal_sample_points supplies
     enough.
+
+    Points far above the spectra, or a few apart by rounding only, cannot
+    resolve the poles: 5/(x - 2) and 5/(x - 4) agree to rounding at 1e10,
+    and 2/(x - 1) and 5/(x - 2) cross at 1/3. So agreement at the points
+    is confirmed pole by pole: at each pole of either coronal, the total
+    weight c that each puts within TOL_SING max(1, |w|max) of it must
+    agree, or the coronals differ. The eigensolver's residual contract
+    fixes the weights of poles farther apart than that only to about
+    TOL_EIG / TOL_SING of their size (an eigenvector's error is its
+    residual over the gap), so they must agree to TOL_EIG / TOL_SING
+    max(1, sum of c1). Where the points cannot tell, coronals whose
+    weights differ by less pass.
     """
     a = float(_check_alpha(alpha))
-    w1, c1 = _coronal_quotient(h1, a)
-    w2, c2 = _coronal_quotient(h2, a)
+    (w1, c1), (w2, c2) = (_coronal_quotient(h._quotient, a) for h in (h1, h2))
+    w, c = np.concatenate([w1, w2]), np.concatenate([c1, -c2])
     x = np.array(sorted({float(x) for x in sample_points}))
     if not np.isfinite(x).all():
         raise ParameterError(f"sample points must be finite, got {x[~np.isfinite(x)][0]}")
-    gaps = x[:, None] - np.concatenate([w1, w2])
+    gaps = x[:, None] - w
     gaps = gaps[np.all(np.abs(gaps) >= TOL_SING, axis=1)]
     # the terms of Gamma_1 - Gamma_2 at each usable point, one row per point
-    terms = np.concatenate([c1, -c2]) / gaps
+    terms = c / gaps
     if np.any(np.abs(terms.sum(axis=1)) > TOL_NUM * np.minimum(1, np.abs(terms).sum(axis=1))):
         return False
-    need = len(w1) + len(w2)
-    if len(gaps) < need:
+    if len(gaps) < len(w):
         raise SingularityError(
             f"coronals agree at all {len(gaps)} distinct sample points that clear "
-            f"the poles by TOL_SING; proving equality needs k1 + k2 = {need}")
-    return True
+            f"the poles by TOL_SING; proving equality needs k1 + k2 = {len(w)}")
+    near = np.abs(w[:, None] - w) <= TOL_SING * max(1, np.abs(w).max())
+    return bool(np.all(np.abs(near @ c) <= TOL_EIG / TOL_SING * max(1, c1.sum())))
 
 
 def coronal_sample_points(h1, h2, alpha):

@@ -541,6 +541,8 @@ def test_factor_degree_accounting():
     for fac in cases:
         total = fac.linear_mult + sum(f.degree * f.mult for f in fac.factors)
         assert total == fac.order
+        with pytest.raises(InternalCheckError, match=f"sum to {total}, expected matrix order"):
+            dataclasses.replace(fac, order=fac.order + 1)
 
 
 def test_cvjoin_alpha_one_is_degree_multiset():
@@ -759,11 +761,11 @@ def test_regular_g2_split_matches_the_shifted_eigendecomposition(g2, a):
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)])
 @pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 0.99999999, 1.0])
 def test_kpq_split_matches_the_shifted_eigendecomposition(monkeypatch, p, q, a):
-    # the reference is the generic split over the parts {P, Q}, which every
-    # (p, q) tuple took before; the closed form makes no eigensolver call
+    # the reference is the generic split over the parts {P, Q}; the tuple's
+    # written-down two-cell quotient and its rotation make no np.linalg call
     want = _shifted_split(generate("complete_bipartite", [p, q]), a,
                           [list(range(p)), list(range(p, p + q))])
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "norm", "solve"):
         monkeypatch.setattr(np.linalg, name, None)
     got = _g2_split((p, q), a)
     for g, w in zip(got, want):

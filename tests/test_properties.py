@@ -1,15 +1,16 @@
 """Property tests: every rooted closed form against the eigensolver on the
 explicitly built matrix, over regular base graphs, arbitrary second graphs
 of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly; the
-quotient coronal against the resolvent of the whole matrix; and the coronal
-check far above the spectra."""
+quotient coronal against the resolvent of the whole matrix; the rotation of
+a two-cell quotient against the eigensolver; and the coronal check far
+above the spectra."""
 
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix, central_graph,
@@ -17,7 +18,7 @@ from alphacentral import (Graph, a_alpha_matrix, adjacency_matrix, central_graph
                           is_connected, parse_edge_list, spectrum_central_regular,
                           spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from alphacentral.closedform import TOL_MATCH
-from alphacentral.spectra import _coronal_quotient, _coronal_values
+from alphacentral.spectra import _coronal_quotient, _eigh_checked
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -134,11 +135,40 @@ def test_quotient_coronal_matches_the_resolvent(g, a):
     """The coronal from the k x k quotient equals 1^T (xI - A_alpha)^{-1} 1
     solved on the whole matrix, at points above the spectrum (at most the
     largest degree)."""
-    w, c = _coronal_quotient(g, a)
+    w, c = _coronal_quotient(g._quotient, a)
     M, ones = a_alpha_matrix(g, a), np.ones(g.n)
     for x in max(g.degree_sequence) + np.array([0.5, 1.0, 3.7, 40.0]):
         want = ones @ np.linalg.solve(x * np.eye(g.n) - M, ones)
-        assert abs(_coronal_values(w, c, x) - want) <= 1e-10 * abs(want)
+        assert abs((c / (x - w)).sum() - want) <= 1e-10 * abs(want)
+
+
+entries = st.floats(0.0, 50.0)
+
+
+@SETTINGS
+@example(d=(2.0, 2.0), r=(1.0, 3.0, 1.0), s=(2, 5), a=0.37)  # x = z
+@example(d=(3.0, 1.0), r=(0.5, 0.0, 2.0), s=(4, 1), a=0.37)  # y = 0
+@example(d=(3.0, 3.0), r=(0.0, 2.0, 0.0), s=(5, 2), a=1.0)  # x = z and y = 0
+@example(d=(0.0, 0.0), r=(0.0, 0.0, 5e-324), s=(1, 1), a=0.0)  # a subnormal gap
+@given(d=st.tuples(entries, entries), r=st.tuples(entries, entries, entries),
+       s=st.tuples(st.integers(1, 50), st.integers(1, 50)),
+       a=st.one_of(st.sampled_from([0.0, 1e-12, 0.37, 1 - 1e-9, 1.0]), st.floats(0.0, 1.0)))
+def test_two_cell_rotation_matches_the_eigensolver(d, r, s, a):
+    """The rotation's pairs (w, c) of a two-cell quotient S = a diag(d) +
+    (1 - a) R are the checked eigensolver's, to 1e-12 of S's scale. An
+    eigenvector is as exact as the gap between the two eigenvalues allows,
+    so below a gap of 1e-12 of the scale, a double eigenvalue included,
+    only the total weight is compared."""
+    R = ((r[0], r[1]), (r[1], r[2]))
+    w, c = _coronal_quotient((d, R, s), a)
+    want_w, U = _eigh_checked(a * np.diag(d) + (1 - a) * np.array(R))
+    want_c = (np.sqrt(s) @ U) ** 2
+    scale = max(1.0, np.abs(want_w).max())
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-12 * scale)
+    gap = (want_w[1] - want_w[0]) / scale
+    if gap > 1e-12:
+        np.testing.assert_allclose(c, want_c, rtol=0, atol=1e-12 * sum(s) / gap)
+    assert abs(c.sum() - sum(s)) <= 1e-12 * sum(s)
 
 
 @SETTINGS

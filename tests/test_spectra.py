@@ -10,7 +10,8 @@ from alphacentral import (Graph, InternalCheckError, ParameterError, Preconditio
                           adjacency_matrix, char_poly, coronal_eval,
                           coronal_kpq_alpha, coronal_regular, default_catalog,
                           degree_matrix, eigenvalues_sym, generate, hoffman_poly)
-from alphacentral.spectra import TOL_NUM, Polynomial, Spectrum
+from alphacentral import spectra
+from alphacentral.spectra import TOL_HOFFMAN, TOL_NUM, Polynomial, RationalFunction, Spectrum
 from alphacentral.verify import _closed_and_built
 from reference import det_exact
 
@@ -251,6 +252,17 @@ def test_polynomial_json():
     assert q.to_json() == {"coeffs": [0.0, 1.0]}
 
 
+def test_polynomial_trims_its_zero_leading_coefficients():
+    assert Polynomial.of([1, 2, 0, 0]).coeffs == (1, 2)
+    assert Polynomial.of([0, 0]).coeffs == (0,)
+
+
+def test_rational_function_refuses_a_zero_denominator():
+    for zero in ([0], [0.0, 0.0], []):
+        with pytest.raises(ParameterError, match="zero denominator"):
+            RationalFunction(Polynomial.of([1]), Polynomial(tuple(zero)))
+
+
 # --- coronals
 
 def test_coronal_regular_petersen():
@@ -377,6 +389,15 @@ def test_hoffman_preconditions():
                                          (3, 4), (4, 5), (3, 5)])
     with pytest.raises(PreconditionError):
         hoffman_poly(two_triangles)
+
+
+def test_hoffman_identity_is_checked(monkeypatch):
+    # a P(A) off J by more than TOL_HOFFMAN is refused
+    real = spectra._poly_on_matrix
+    monkeypatch.setattr(spectra, "_poly_on_matrix",
+                        lambda poly, A: real(poly, A) + 2 * TOL_HOFFMAN * np.eye(len(A)))
+    with pytest.raises(InternalCheckError, match="P\\(A\\) - J"):
+        hoffman_poly(generate("petersen"))
 
 
 # --- energy

@@ -13,7 +13,8 @@ from alphacentral import (ParameterError, PreconditionError, SingularityError, a
 from alphacentral import spectra, verify
 from alphacentral.closedform import charpoly_cvjoin
 from alphacentral.graphs import Graph, regularity
-from alphacentral.verify import (_cvjoin_closed_variant_single_power, a_cospectral_exact,
+from alphacentral.spectra import Spectrum
+from alphacentral.verify import (_compared, _cvjoin_closed_variant_single_power, a_cospectral_exact,
                                  charpolys_equal_exact, coronal_sample_points,
                                  default_alpha_grid, default_catalog)
 
@@ -228,6 +229,30 @@ def test_coronal_check_is_relative_far_above_the_spectra():
     assert coronal_equal_check(pet, _prism(), 0.5, [1e10, 1e10 + 1])
 
 
+def test_coronal_check_confirms_agreement_pole_by_pole():
+    # points that cannot resolve the poles: 5/(x - 2) and 5/(x - 4) agree to
+    # rounding at 1e10, and two points 1e-12 apart at a crossing count as
+    # two points of the proof; each coronal's weight at each pole tells
+    k2, c5, k5 = generate("complete", [2]), generate("cycle", [5]), generate("complete", [5])
+    c6 = generate("cycle", [6])
+    assert coronal_equal_check(c5, k5, 0.0, [1e10 + k for k in range(3)]) is False
+    # 2/(x - 1) and 5/(x - 2) cross at 1/3
+    assert coronal_equal_check(k2, c5, 0.0, [1 / 3, 1 / 3 + 1e-12]) is False
+    # n1/(x - r1) and n2/(x - r2) cross at (n1 r2 - n2 r1)/(n1 - n2)
+    for (h1, n1, r1), (h2, n2, r2) in (((generate("complete", [4]), 4, 3), (c6, 6, 2)),
+                                       ((generate("petersen"), 10, 3), (c5, 5, 2))):
+        x = (n1 * r2 - n2 * r1) / (n1 - n2)
+        assert n1 / (x - r1) == pytest.approx(n2 / (x - r2))
+        assert coronal_equal_check(h1, h2, 0.0, [x, x + 1e-12]) is False
+    # equal coronals still pass at points far out and close together
+    assert coronal_equal_check(generate("petersen"), _prism(), 0.5, [1e10, 1e10 + 1e-6])
+    # and so does a relabelled copy whose four-cell quotient has poles
+    # 3.6e-8 apart, whose weights the eigensolver fixes only to about 1e-8
+    g = Graph.from_edges(6, [(0, 1), (0, 3), (2, 4)])
+    copy = Graph.from_edges(6, [(0, 2), (0, 3), (1, 4)])
+    assert coronal_equal_check(g, copy, 0.9999999637441254, [1e6 + k for k in range(20)])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_coronal_check_refuses_a_point_that_is_not_finite(bad):
     # 2/(x - 1) and 3/(x - 2) meet only at -1; both vanish at infinity
@@ -261,6 +286,19 @@ def test_coronal_equal_eigensolves_only_multi_cell_quotients(monkeypatch):
     assert k2 == 13  # the path's 12 distances to its nearer end, and the cycle
     assert calls == [("eigh", (k2, k2))]
 
+    # two cells take one rotation in closed form, with no eigensolve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called on a two-cell quotient")
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "norm", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    k23, p4 = generate("complete_bipartite", [2, 3]), generate("path", [4])
+    label = [4, 2, 0, 3, 1]
+    copy = Graph.from_edges(5, [(label[i], label[j]) for i, j in k23.edges])
+    assert [len(h._quotient[2]) for h in (k23, copy, p4)] == [2, 2, 2]
+    pts = coronal_sample_points(k23, copy, 0.37)
+    assert coronal_equal_check(k23, copy, 0.37, pts) is True
+    assert coronal_equal_check(p4, k23, 0.37, pts) is False
+
 
 # --- cospectral families
 
@@ -274,6 +312,23 @@ def test_cospectral_family_passes_with_exact_certificates():
     assert any(c.source == "necessary-conditions" for c in report.cases)
     assert any("non-isomorphic by 4-clique count" in n for n in report.notes)
     assert any("non-regular" in n for n in report.notes)
+
+
+def test_cospectral_family_notes_a_join_pair_no_cheap_invariant_separates(monkeypatch):
+    # the joins' own witness is made to come back empty: the report then
+    # rests their non-isomorphism on the seeds' witness
+    real, seen = verify.nonisomorphism_witness, []
+
+    def seeds_only(a, b):
+        seen.append((a.n, b.n))
+        return real(a, b) if len(seen) == 1 else None
+    monkeypatch.setattr(verify, "nonisomorphism_witness", seeds_only)
+    report = cospectral_cvjoin_family(generate("shrikhande"), generate("rook4x4"),
+                                      generate("path", [3]), [0.5])
+    assert seen == [(16, 16), (67, 67)]
+    assert any("seeds non-isomorphic by" in n for n in report.notes)
+    assert not any("joins non-isomorphic" in n for n in report.notes)
+    assert any("non-isomorphism rests on the seed certificate" in n for n in report.notes)
 
 
 def test_cospectral_family_preconditions():
@@ -395,6 +450,13 @@ def test_single_power_variant_takes_any_second_graph():
     variant = _cvjoin_closed_variant_single_power(pet, paw, 0.5)
     assert len(variant) == pet.n + pet.m + paw.n
     assert variant == sorted(variant, reverse=True)
+
+
+def test_spectra_of_different_sizes_fail_the_comparison():
+    closed, oracle = Spectrum((2.0, 1.0)), Spectrum((2.0, 1.0, 0.0))
+    case = _compared("K", 0.5, "central-factorization", closed, oracle)
+    assert case.status == "fail" and case.deviation is None
+    assert case.note == "size mismatch: closed 2 vs oracle 3"
 
 
 def test_a_cospectral_exact_of_different_orders_is_false():
