@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .closedform import charpoly_cvjoin, charpoly_central_regular
 from .construct import central_graph, central_vertex_join
-from .errors import ParameterError, ParseError, PreconditionError, SingularityError
+from .errors import ParameterError, ParseError, PreconditionError
 from .graphs import FAMILIES, _sizes, format_edge_list, generate, parse_edge_list
 from .spectra import Spectrum, a_alpha_energy, a_alpha_matrix, char_poly, eigenvalues_sym
 from . import verify as verify_mod
@@ -311,7 +311,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.run(args)
-    except (PreconditionError, SingularityError) as exc:
+    except PreconditionError as exc:
         # must precede ValueError: PreconditionError subclasses it
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -40,13 +40,15 @@ Numerical contracts (absolute unless noted):
 - TOL_EIG:      relative eigensolver residual, ||M V - V L||_F <= TOL_EIG*n*||M||_2;
                 R = M V - V L is divided by ||M|| before squaring when
                 its plain sum of squares fails
-- TOL_NUM:      value comparisons against closed forms
+- TOL_NUM:      value comparisons against closed forms in the tests; no
+                package code reads it
 - CLUSTER_TOL:  width of a (value, multiplicity) group: a value joins the
                 current group while it lies within CLUSTER_TOL of the
                 group's first (largest) value
 - TOL_HOFFMAN:  max-norm of P(A) - J for the Hoffman polynomial
 - TOL_SING:     minimum allowed distance from a resolvent evaluation point
-                to the spectrum
+                to the spectrum; scaled by max(1, |pole|max), also the
+                width below which verify.coronal_equal_check merges poles
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ from . import exactalg
 from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_regular,
                          spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
-from .errors import ParameterError, PreconditionError, SingularityError
+from .errors import PreconditionError
 from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
-from .spectra import (TOL_EIG, TOL_NUM, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
+from .spectra import (TOL_EIG, TOL_SING, Spectrum, _check_alpha, _coronal_quotient,
                       a_alpha_matrix, char_poly, eigenvalues_sym)
 
 
@@ -242,64 +242,44 @@ def sweep(catalog, alpha_grid, include_formula_notes=True):
 # coronal equality predicate
 
 def coronal_equal_check(h1, h2, alpha, sample_points):
-    """Test Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} at sample points.
+    """Whether Gamma_{A_alpha(H1)} == Gamma_{A_alpha(H2)} as rational
+    functions of x. sample_points is accepted and not read: the verdict
+    comes from the pole-weight lists alone.
 
-    Each coronal comes from its graph's symmetrized quotient over the
-    coarsest equitable partition, Graph._quotient, which the Graph keeps
-    after its first call (O(m + k^2) once, with the colour refinement),
-    through spectra._coronal_quotient: a graph of one cell (every regular
-    graph) is read off, one of two cells takes one rotation in closed form,
-    and one of k >= 3 cells one checked eigensolve of order k per alpha.
-    Each point then costs O(k1 + k2). A sample point that is not finite
-    raises ParameterError. The poles are the k1 + k2 cell-constant
-    eigenvalues, and points within TOL_SING of one are dropped first; a
-    point near another eigenvalue of A_alpha is no pole and is kept.
-
-    Over the quotient each coronal is p/q with deg q = k and deg p <= k -
-    1, so Gamma_1 - Gamma_2 has a numerator of degree <= k1 + k2 - 1: one
-    disagreeing point proves the coronals differ, and agreement at k1 + k2
-    distinct usable points proves identity. A point agrees when |Gamma_1 -
-    Gamma_2| <= TOL_NUM min(1, S), S the sum of |c / (x - w)| over the
-    terms of both coronals: far above the spectra both coronals shrink
-    like n / x, where an absolute TOL_NUM alone would call any two equal.
-    When every usable point agrees but fewer than k1 + k2 distinct ones
-    remain, raises SingularityError. coronal_sample_points supplies
-    enough.
-
-    Points far above the spectra, or a few apart by rounding only, cannot
-    resolve the poles: 5/(x - 2) and 5/(x - 4) agree to rounding at 1e10,
-    and 2/(x - 1) and 5/(x - 2) cross at 1/3. So agreement at the points
-    is confirmed pole by pole: at each pole of either coronal, the total
-    weight c that each puts within TOL_SING max(1, |w|max) of it must
-    agree, or the coronals differ. The eigensolver's residual contract
-    fixes the weights of poles farther apart than that only to about
-    TOL_EIG / TOL_SING of their size (an eigenvector's error is its
-    residual over the gap), so they must agree to TOL_EIG / TOL_SING
-    max(1, sum of c1). Where the points cannot tell, coronals whose
-    weights differ by less pass.
+    Each coronal is sum(c / (x - w)) over its graph's k cell-constant
+    eigenpairs, from the symmetrized quotient over the coarsest equitable
+    partition (Graph._quotient, kept after its first call) through
+    spectra._coronal_quotient: one cell (every regular graph) is read off,
+    two cells take one rotation in closed form, and k >= 3 cells one
+    checked eigensolve of order k per alpha. Two such sums are equal iff
+    their lists agree once equal poles are merged, so the check sorts the
+    poles of both, with the weights of H2 negated, splits them into
+    clusters wherever consecutive poles lie more than TOL_SING * scale
+    apart, scale = max(1, |w|max), and asks every cluster's signed weight
+    to vanish to TOL_EIG max(1, sum of c1) scale / g, g the smallest gap
+    between clusters capped at scale (scale for one cluster). A cluster's
+    weight is fixed to about the eigensolver's residual over that gap
+    (Davis and Kahan, SIAM J. Numer. Anal. 7 (1970) 1-46), and the
+    residual is bounded by TOL_EIG; as g > TOL_SING * scale, the bound is
+    below TOL_EIG / TOL_SING max(1, sum of c1).
     """
     a = float(_check_alpha(alpha))
     (w1, c1), (w2, c2) = (_coronal_quotient(h._quotient, a) for h in (h1, h2))
     w, c = np.concatenate([w1, w2]), np.concatenate([c1, -c2])
-    x = np.array(sorted({float(x) for x in sample_points}))
-    if not np.isfinite(x).all():
-        raise ParameterError(f"sample points must be finite, got {x[~np.isfinite(x)][0]}")
-    gaps = x[:, None] - w
-    gaps = gaps[np.all(np.abs(gaps) >= TOL_SING, axis=1)]
-    # the terms of Gamma_1 - Gamma_2 at each usable point, one row per point
-    terms = c / gaps
-    if np.any(np.abs(terms.sum(axis=1)) > TOL_NUM * np.minimum(1, np.abs(terms).sum(axis=1))):
-        return False
-    if len(gaps) < len(w):
-        raise SingularityError(
-            f"coronals agree at all {len(gaps)} distinct sample points that clear "
-            f"the poles by TOL_SING; proving equality needs k1 + k2 = {len(w)}")
-    near = np.abs(w[:, None] - w) <= TOL_SING * max(1, np.abs(w).max())
-    return bool(np.all(np.abs(near @ c) <= TOL_EIG / TOL_SING * max(1, c1.sum())))
+    order = np.argsort(w)
+    w, c = w[order], c[order]
+    scale = max(1, np.abs(w).max())
+    gaps = np.diff(w)
+    split = gaps > TOL_SING * scale
+    sums = np.bincount(np.concatenate([[0], np.cumsum(split)]), weights=c)
+    g = gaps[split].min(initial=scale)
+    return bool(np.all(np.abs(sums) <= TOL_EIG * max(1, c1.sum()) * scale / g))
 
 
 def coronal_sample_points(h1, h2, alpha):
-    """2n+1 well-separated non-pole sample points above both spectra.
+    """2n+1 well-separated non-pole sample points above both spectra, at
+    which to evaluate the two coronals (acceptance criterion 4);
+    coronal_equal_check does not read them.
 
     A_alpha is nonnegative with row sums equal to the degrees, so its
     spectral radius is at most the largest degree; starting one above that

@@ -175,9 +175,10 @@ def test_two_cell_rotation_matches_the_eigensolver(d, r, s, a):
 @given(g=any_graphs(max_order=10), other=any_graphs(max_order=10), a=alphas,
        base=st.floats(1e6, 1e12), data=st.data())
 def test_coronal_check_far_above_the_spectra(g, other, a, base, data):
-    """Far above both spectra a coronal is about n / x. At 20 points from
-    base in [1e6, 1e12] a relabelled copy agrees, and a graph of another
-    order differs by a share 1/20 or more of the coronals' size."""
+    """Far above both spectra a coronal is about n / x, so points there
+    barely tell two apart; the verdict does not rest on them. Given 20
+    points from base in [1e6, 1e12], a relabelled copy agrees, and a graph
+    of another order differs: its weights sum to another n."""
     points = [base + k for k in range(20)]
     label = data.draw(st.permutations(range(g.n)))
     copy = Graph.from_edges(g.n, [(label[i], label[j]) for i, j in g.edges])
