@@ -29,7 +29,7 @@ print(f"\nfactored characteristic polynomial of A_alpha(C(Petersen))), alpha=0.2
 fac = charpoly_central_regular(pet, 0.25)
 print(f"  (x - {fac.linear_root})^{fac.linear_mult}")
 for f in fac.factors:
-    c = ", ".join(f"{x:.6g}" for x in f.poly.coeffs)
+    c = ", ".join(f"{x:.6g}" for x in f.coeffs)
     print(f"  [{f.label}] coeffs ({c}) x{f.mult}")
 
 # sweep the whole catalog against the oracle

@@ -22,7 +22,7 @@ fac = charpoly_cvjoin(pet, c5, alpha)
 print(f"\nfactor provenance at alpha={alpha}:")
 print(f"  subdivision: (x - {fac.linear_root})^{fac.linear_mult}")
 for f in fac.factors:
-    c = ", ".join(f"{x:.6g}" for x in f.poly.coeffs)
+    c = ", ".join(f"{x:.6g}" for x in f.coeffs)
     print(f"  [{f.label}] degree {f.degree} x{f.mult}")
 total = fac.linear_mult + sum(f.degree * f.mult for f in fac.factors)
 print(f"  degree accounting: {total} == order {fac.order}")
@@ -37,7 +37,7 @@ print("\nPetersen vjoin K_{2,3} at alpha=0.25:")
 fac = charpoly_cvjoin(pet, (2, 3), 0.25)
 quartic = next(f for f in fac.factors if f.label == "coronal")
 print("  quartic coronal factor coeffs:",
-      [round(c, 6) for c in quartic.poly.coeffs])
+      [round(c, 6) for c in quartic.coeffs])
 closed = spectrum_cvjoin_kpq(pet, 2, 3, 0.25)
 built = central_vertex_join(pet, generate("complete_bipartite", [2, 3]))
 oracle = eigenvalues_sym(a_alpha_matrix(built, 0.25))

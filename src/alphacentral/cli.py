@@ -245,7 +245,7 @@ def _cmd_closed_spectrum(args):
     if fac.linear_mult:
         rows.append((f"subdivision (x - {fac.linear_root:.10g})",
                      [fac.linear_root] * fac.linear_mult))
-    for label, roots in rows + fac.factor_roots():
+    for label, roots in rows + [(f.label, f.roots) for f in fac.factors]:
         print(f"{label}: {' '.join(f'{v:.12g}' for v in roots)}")
     return EXIT_OK
 

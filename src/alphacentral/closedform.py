@@ -45,7 +45,9 @@ largest degree, at most n1 + n2 - 1, bounds its spectral radius, so the
 padding poles lie above every root; they leave the secular function
 unchanged, their eigenvalues come last in each row and are dropped by
 position. One batched eigvalsh and one secular sign test root the whole
-case.
+case. A Factor is one row in secular form, (t, poles, weights), with the
+roots of the rows it stands for; its coefficients and point value are read
+from that row.
 
 The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
 K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
@@ -90,9 +92,9 @@ check compares the quotient block with the bracket.
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
 Perron copy dropped. In A(G1) each bipartite component's -r1 is exact, so
 its base row has weight 0 and its root 2a lies on its pole. CLUSTER_TOL
-grouping only names and counts the factors (factors, to_json, through
-per-kind views of the one stack) and never moves a root. Every root is
-checked against its factor in secular form, to TOL_ROOT.
+grouping only names and counts the factors (factors and to_json, from one
+rooting of the stack) and never moves a root. Every root is checked
+against its factor in secular form, to TOL_ROOT.
 """
 
 from __future__ import annotations
@@ -111,18 +113,40 @@ TOL_MATCH = 1e-8
 TOL_ROOT = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factor:
-    """One factor of a FactoredCharPoly; poly is a one-row ArrowheadStack,
-    with coeffs, degree and a point value."""
+    """One distinct factor of a FactoredCharPoly, standing for mult rows:
+    the secular form F(x) = x - t - sum(weights / (x - poles)) of the first
+    of them, whose factor F(x) prod(x - poles) has degree len(poles) + 1,
+    and roots, the roots of all mult rows, descending."""
 
-    poly: object
-    mult: int
     label: str
+    mult: int
+    t: float
+    poles: np.ndarray
+    weights: np.ndarray
+    roots: tuple
 
     @property
     def degree(self):
-        return self.poly.degree
+        return len(self.poles) + 1
+
+    def __call__(self, x):
+        """The factor at x, F(x) prod(x - p) multiplied out so that it stays
+        finite at the poles."""
+        d = x - self.poles
+        others = np.where(np.eye(len(d), dtype=bool), 1.0, d).prod(axis=1)
+        return d.prod() * (x - self.t) - self.weights @ others
+
+    @cached_property
+    def coeffs(self):
+        """Ascending monomial coefficients of the factor; for to_json and
+        display only."""
+        p = self.poles
+        out = np.convolve(np.poly(p), [1.0, -self.t])  # descending
+        for j, wj in enumerate(self.weights):
+            out[2:] -= wj * np.poly(np.delete(p, j))
+        return tuple(out[::-1].tolist())
 
 
 _ENDS = np.array([1.0, -1.0])[:, None, None]  # rows z - h and -(z + h) of ArrowheadStack.roots
@@ -131,19 +155,17 @@ _ENDS = np.array([1.0, -1.0])[:, None, None]  # rows z - h and -(z + h) of Arrow
 @dataclass(frozen=True, eq=False)
 class ArrowheadStack:
     """K factors, factor i the characteristic polynomial of the symmetric
-    d x d arrowhead blocks[i].
+    d x d arrowhead blocks[i], rooted together.
 
     Row i has the secular function F(x) = x - t[i] - sum(weights[i] / (x -
     poles[i])) and the factor F(x) prod(x - poles[i]); blocks[i] holds the
     poles on its diagonal past the corner and sqrt(weights[i]) on its
     border. F increases between consecutive poles (weights >= 0). keys,
-    when given, is the eigenvalue each row comes from, descending: rows
-    whose keys lie within CLUSTER_TOL are listed as one factor with
-    multiplicity, labelled "label key". Without keys the K factors are
-    equal. kept, unless True, marks the eigenvalues of each block that are
-    roots of its factor: a row padded to the block size d has poles of
-    weight 0 above every root of its factor, which leave F unchanged and
-    are the block's last eigenvalues, not kept.
+    when given, is the eigenvalue each row comes from, descending, which
+    FactoredCharPoly.factors groups by. kept, unless True, marks the
+    eigenvalues of each block that are roots of its factor: a row padded to
+    the block size d has poles of weight 0 above every root of its factor,
+    which leave F unchanged and are the block's last eigenvalues, not kept.
     """
 
     label: str
@@ -153,14 +175,6 @@ class ArrowheadStack:
     weights: np.ndarray
     keys: np.ndarray = None
     kept: object = True
-
-    @property
-    def degree(self):
-        return self.blocks.shape[2]
-
-    @property
-    def count(self):
-        return self.blocks.shape[0]
 
     def roots(self):
         """(K, d) array; row i holds the eigenvalues of blocks[i], ascending,
@@ -208,41 +222,6 @@ class ArrowheadStack:
                 f"{self.label} root {z[i, j]:.6g} in row {i} is not within {h[i, 0]:.3e} "
                 "of a root of its factor in secular form")
 
-    def groups(self):
-        """(label, first row, multiplicity) per distinct factor."""
-        if self.keys is None:
-            return [(self.label, 0, self.count)] if self.count else []
-        out, start = [], 0
-        for key, mult in Spectrum.from_values(self.keys).groups:
-            out.append((f"{self.label} {key:.10g}", start, mult))
-            start += mult
-        return out
-
-    def factor(self, row):
-        """The given row as a one-row stack, the view that Factor.poly holds:
-        it has coeffs and a point value."""
-        s = slice(row, row + 1)
-        return ArrowheadStack(self.label, self.blocks[s], self.t[s], self.poles[s],
-                              self.weights[s])
-
-    def __call__(self, x):
-        """A one-row stack's factor at x, F(x) prod(x - p) multiplied out so
-        that it stays finite at the poles."""
-        (t,), (p,), (w,) = self.t, self.poles, self.weights
-        d = x - p
-        others = np.where(np.eye(len(d), dtype=bool), 1.0, d).prod(axis=1)
-        return d.prod() * (x - t) - w @ others
-
-    @cached_property
-    def coeffs(self):
-        """Ascending monomial coefficients of a one-row stack's factor; for
-        factors and to_json only."""
-        (t,), (p,), (w,) = self.t, self.poles, self.weights
-        out = np.convolve(np.poly(p), [1.0, -t])  # descending
-        for j, wj in enumerate(w):
-            out[2:] -= wj * np.poly(np.delete(p, j))
-        return tuple(out[::-1].tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class FactoredCharPoly:
@@ -272,28 +251,36 @@ class FactoredCharPoly:
                 f"factor degrees sum to {total}, expected matrix order {self.order}")
 
     @cached_property
-    def families(self):
-        """The factors by kind, each an ArrowheadStack over the same arrays:
-        the g2-eigenvalue linear factors, the base-eigenvalue quadratics
-        (the stack's rows but the last, without their padding) and the
-        last row."""
-        s, b, x = self.stack, self.stack.count - 1, self.shifted
-        none = np.empty((len(x), 0))
-        return (ArrowheadStack("g2-eigenvalue", x[:, None, None], x, none, none, self.mu),
-                ArrowheadStack("base-eigenvalue", s.blocks[:b, :2, :2], s.t[:b],
-                               s.poles[:b, :1], s.weights[:b, :1], s.keys),
-                ArrowheadStack(self.label, s.blocks[b:], s.t[b:], s.poles[b:], s.weights[b:]))
-
-    @cached_property
     def factors(self):
-        """One Factor per distinct factor, with its multiplicity."""
-        return tuple(Factor(fam.factor(start), mult, label)
-                     for fam in self.families for label, start, mult in fam.groups())
+        """One Factor per distinct factor, with its multiplicity, from one
+        rooting of the stack: the g2-eigenvalue linear factors keyed by mu,
+        the base-eigenvalue quadratics (the stack's rows but the last,
+        without their padding) keyed by stack.keys, and the last row. Rows
+        whose keys lie within CLUSTER_TOL are one factor, labelled "kind
+        key"."""
+        s, z, x = self.stack, self.stack.roots(), self.shifted
+        none = np.empty((len(x), 0))
+        out = []
+        for kind, keys, t, poles, weights, roots in (
+                ("g2-eigenvalue", self.mu, x, none, none, x[:, None]),
+                ("base-eigenvalue", s.keys, s.t[:-1], s.poles[:-1, :1], s.weights[:-1, :1],
+                 z[:-1, :2]),
+                (self.label, None, s.t[-1:], s.poles[-1:], s.weights[-1:], z[-1:])):
+            groups = ([(kind, 1)] if keys is None else
+                      [(f"{kind} {key:.10g}", mult)
+                       for key, mult in Spectrum.from_values(keys).groups])
+            start = 0
+            for label, mult in groups:
+                rows = roots[start:start + mult].ravel().tolist()
+                out.append(Factor(label, mult, t[start], poles[start], weights[start],
+                                  tuple(sorted(rows, reverse=True))))
+                start += mult
+        return tuple(out)
 
     def evaluate(self, lam):
         val = (lam - self.linear_root) ** self.linear_mult
         for f in self.factors:
-            val *= f.poly(lam) ** f.mult
+            val *= f(lam) ** f.mult
         return val
 
     def roots(self):
@@ -304,19 +291,8 @@ class FactoredCharPoly:
                  self.stack.roots()[self.stack.kept]]
         return np.sort(np.concatenate(parts))[::-1]
 
-    def factor_roots(self):
-        """(label, roots descending) for each entry of factors, from the one
-        rooting of the stack that roots() makes."""
-        z = self.stack.roots()
-        out = []
-        for fam, rooted in zip(self.families, (self.shifted[:, None], z[:-1, :2], z[-1:])):
-            for label, start, mult in fam.groups():
-                out.append((label, sorted(rooted[start:start + mult].ravel().tolist(),
-                                          reverse=True)))
-        return out
-
     def to_json(self):
-        factors = [{"coeffs": list(f.poly.coeffs), "mult": f.mult, "label": f.label}
+        factors = [{"coeffs": list(f.coeffs), "mult": f.mult, "label": f.label}
                    for f in self.factors]
         return {"linear": {"root": float(self.linear_root), "mult": self.linear_mult},
                 "factors": factors}

@@ -344,6 +344,9 @@ def cospectral_cvjoin_family(g1, g2, h, alpha_grid):
         report.notes.append(
             f"{label}: seeds non-isomorphic by {seed_wit[0]} "
             f"({seed_wit[1]} vs {seed_wit[2]})")
+    else:
+        report.notes.append(
+            f"{label}: no cheap invariant separates the seeds; they may be isomorphic")
     if join_wit:
         report.notes.append(
             f"{label}: joins non-isomorphic by {join_wit[0]} "

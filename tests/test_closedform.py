@@ -14,7 +14,7 @@ from alphacentral import (Graph, InternalCheckError, ParameterError, Preconditio
                           equitable_partition, generate, regularity,
                           spectrum_central_regular, spectrum_cvjoin_kpq,
                           spectrum_cvjoin_regular)
-from alphacentral.closedform import TOL_MATCH, ArrowheadStack, _g2_split
+from alphacentral.closedform import TOL_MATCH, ArrowheadStack, Factor, _g2_split
 from alphacentral.verify import _closed_and_built
 from reference import det_exact
 
@@ -62,7 +62,8 @@ def test_block_roots_wide_scale():
     # small root keeps its relative accuracy, which the naive quadratic
     # formula loses
     fam = _quadratic_stack([1e6], [1e6], [0.0], [1.0])
-    assert fam.factor(0).coeffs == (-1.0, -1e6, 1.0)
+    row = Factor("test", 1, fam.t[0], fam.poles[0], fam.weights[0], ())
+    assert row.coeffs == (-1.0, -1e6, 1.0)
     small, big = fam.roots()[0]
     assert big == pytest.approx(5e5 + np.sqrt(2.5e11 + 1), rel=1e-12)
     assert small == pytest.approx(-1.0 / big, rel=1e-9)
@@ -72,10 +73,10 @@ def test_block_roots_alpha_one_double_root():
     # at alpha = 1 every block of C(K3), the principal arrowhead included, is
     # diag(2, 2): each double root 2 comes back exactly, not as a complex pair
     fac = charpoly_central_regular(generate("complete", [3]), 1.0)
-    rooted = [fam.roots() for fam in fac.families]
-    assert sum(z.size for z in rooted) == fac.order == 6
-    for z in rooted:
-        assert (z == 2.0).all()
+    rooted = [v for f in fac.factors for v in f.roots]
+    assert fac.linear_mult == 0 and len(rooted) == fac.order == 6
+    assert rooted == [2.0] * 6
+    assert (fac.roots() == 2.0).all()
 
 
 def test_block_disagreeing_with_factor_raises():
@@ -121,20 +122,6 @@ def test_root_on_a_pole_of_nonzero_weight_is_refused(monkeypatch):
         fam.roots()
 
 
-@pytest.mark.parametrize("a", [0.37, 1.0])
-def test_degree_one_rows_take_the_one_rooting_path(a, monkeypatch):
-    # the linear g2-eigenvalue rows are (K, 1, 1) blocks: eigvalsh roots
-    # them bit for bit as the shifted values, and the secular test checks
-    # them like every other row
-    fac = charpoly_cvjoin(generate("cycle", [5]), generate("path", [3]), a)
-    linear = fac.families[0]
-    assert linear.degree == 1
-    assert np.array_equal(linear.roots()[:, 0], fac.shifted)
-    _move_one_root(monkeypatch, 0, 0)
-    with pytest.raises(InternalCheckError, match="g2-eigenvalue root"):
-        linear.roots()
-
-
 def _catalog_case(entry, a):
     """(G1, second graph or None, FactoredCharPoly, Spectrum) of a catalog
     entry, the spectrum from the public spectrum function."""
@@ -170,16 +157,35 @@ def _per_family_roots(g1, second, a):
 @pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 1.0])
 def test_one_stack_changes_no_root(a):
     # padding the base rows into the arrowhead's stack changes no bit of any
-    # root: against the families rooted one by one, against the lazy family
-    # views, and in the public spectrum
+    # root: against the families rooted one by one, and in the public spectrum
     for entry in default_catalog():
         g1, second, fac, spectrum = _catalog_case(entry, a)
         got = fac.roots()
         assert got.tobytes() == _per_family_roots(g1, second, a).tobytes(), entry
-        views = [np.full(fac.linear_mult, fac.linear_root)]
-        views += [fam.roots().ravel() for fam in fac.families]
-        assert np.sort(np.concatenate(views))[::-1].tobytes() == got.tobytes(), entry
         assert np.array(spectrum.values).tobytes() == got.tobytes(), entry
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 1.0])
+def test_factors_hold_every_root_once(a):
+    # the factors group the one rooting of the stack: the linear roots and
+    # every factor's roots are the spectrum bit for bit, and the degrees
+    # times the multiplicities sum to the order
+    for entry in default_catalog():
+        _, _, fac, _ = _catalog_case(entry, a)
+        parts = [np.full(fac.linear_mult, fac.linear_root)]
+        parts += [np.array(f.roots) for f in fac.factors]
+        got = np.sort(np.concatenate(parts))[::-1]
+        assert got.tobytes() == fac.roots().tobytes(), entry
+        assert fac.linear_mult + sum(f.degree * f.mult for f in fac.factors) == fac.order, entry
+        assert all(len(f.roots) == f.degree * f.mult for f in fac.factors), entry
+
+
+def test_factors_refuse_a_moved_root(monkeypatch):
+    # a factor is listed only after its roots pass the secular check
+    fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.37)
+    _move_one_root(monkeypatch, 0, 0)
+    with pytest.raises(InternalCheckError, match="base-eigenvalue and coronal root .* in row 0 "):
+        fac.factors
 
 
 def _where(fac, row_kind):
@@ -190,14 +196,15 @@ def _where(fac, row_kind):
     z = s.roots()
     if row_kind == "base":
         return 0, 0
+    d = s.blocks.shape[-1]
     if row_kind == "last":
-        return s.count - 1, s.degree - 1
+        return len(s.t) - 1, d - 1
     if row_kind == "weight-0":
         (row,) = np.flatnonzero(s.weights[:-1, 0] == 0)
         (col,) = np.flatnonzero(z[row] == fac.linear_root)
         return row, col
     assert not s.kept[0, -1] and s.weights[0, -1] == 0
-    return 0, s.degree - 1
+    return 0, d - 1
 
 
 @pytest.mark.parametrize("row_kind,g1,second", [
@@ -241,10 +248,10 @@ def test_central_k3_alpha0_factors():
     fac = charpoly_central_regular(generate("complete", [3]), 0.0)
     assert fac.linear_mult == 0 and fac.order == 6
     by_label = {f.label: f for f in fac.factors}
-    assert np.allclose(by_label["principal"].poly.coeffs, [-4, 0, 1], atol=1e-12)
+    assert np.allclose(by_label["principal"].coeffs, [-4, 0, 1], atol=1e-12)
     eig = [f for f in fac.factors if f.label.startswith("base-eigenvalue")]
     assert len(eig) == 1 and eig[0].mult == 2
-    assert np.allclose(eig[0].poly.coeffs, [-1, 0, 1], atol=1e-9)
+    assert np.allclose(eig[0].coeffs, [-1, 0, 1], atol=1e-9)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 0.9999, 1.0])
@@ -381,7 +388,7 @@ def test_cvjoin_cubic_roots_cover_oracle_remainder():
     # linear and quadratic factors do not
     g1, g2 = generate("complete", [3]), generate("complete", [2])
     fac = charpoly_cvjoin(g1, g2, 0.0)
-    roots = dict(fac.factor_roots())["coronal"]
+    roots = _coronal(fac).roots
     oracle = list(_oracle(central_vertex_join(g1, g2), 0.0).values)
     accounted = sorted([-1.0, 1.0, 1.0, -1.0, -1.0])  # g2 shift + quadratics
     remainder = list(oracle)
@@ -467,7 +474,7 @@ def test_cvjoin_kpq_part_multiplicity():
     fac = charpoly_cvjoin(generate("cycle", [4]), (2, 4), 0.25)
     part_q = next(f for f in fac.factors if f.label == "g2-eigenvalue 0.5")
     assert part_q.mult == 3
-    root = -part_q.poly.coeffs[0] / part_q.poly.coeffs[1]
+    root = -part_q.coeffs[0] / part_q.coeffs[1]
     assert root == pytest.approx(0.25 * (4 + 2))
 
 
@@ -502,10 +509,10 @@ def test_cvjoin_generic_evaluate_needs_no_eigensolver(monkeypatch):
     # eigensolver and no linear solve
     g1 = generate("complete", [3])
     fac = charpoly_cvjoin(g1, PAW, 0.3)
-    term = next(f.poly for f in fac.factors if f.label == "coronal")
+    term = _coronal(fac)
     # poles 2 alpha and alpha n1 + v_i; weights n1 (1-alpha)^2 c_i past the first
-    assert term.poles.shape == term.weights.shape == (1, 1 + 3)
-    assert term.weights[0, 1:].sum() == pytest.approx(g1.n * 0.7 ** 2 * PAW.n)
+    assert term.poles.shape == term.weights.shape == (1 + 3,)
+    assert term.weights[1:].sum() == pytest.approx(g1.n * 0.7 ** 2 * PAW.n)
     poly = char_poly(a_alpha_matrix(central_vertex_join(g1, PAW), 0.3))
 
     def forbidden(*args, **kwargs):
@@ -625,7 +632,7 @@ def test_close_g2_eigenvalues_keep_their_roots():
     fac = charpoly_cvjoin(g1, g2, a)
     shifted = [f for f in fac.factors if f.label.startswith("g2-eigenvalue")]
     assert sum(f.mult for f in shifted) == 4 and len(shifted) == 1
-    roots = sorted(dict(fac.factor_roots())[shifted[0].label])
+    roots = sorted(shifted[0].roots)
     want = sorted(np.linalg.eigvalsh(a_alpha_matrix(g2, a))[:-1] + a * g1.n)
     assert roots == pytest.approx(want, abs=1e-12)
     assert roots[-1] - roots[0] > 2e-8
@@ -640,7 +647,7 @@ def _seeded_graph(seed, n, density):
 
 
 def _coronal(fac):
-    return next(f.poly for f in fac.factors if f.label == "coronal")
+    return next(f for f in fac.factors if f.label == "coronal")
 
 
 def test_coronal_json_matches_cubic_and_quartic():
@@ -661,25 +668,25 @@ def test_cvjoin_kpq_3_3_alpha_one_repeated_cell_eigenvalue():
     fac = charpoly_cvjoin(g1, (3, 3), 1.0)
     coronal = _coronal(fac)
     assert coronal.degree == 4
-    assert coronal.poles[0, 1:] == pytest.approx([g1.n + 3.0] * 2, abs=1e-12)
+    assert coronal.poles[1:] == pytest.approx([g1.n + 3.0] * 2, abs=1e-12)
     built = central_vertex_join(g1, generate("complete_bipartite", [3, 3]))
     assert _max_dev(spectrum_cvjoin_kpq(g1, 3, 3, 1.0), _oracle(built, 1.0)) <= TOL_MATCH
 
 
 def test_coronal_block_disagreeing_with_factor_raises():
     fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.3)
-    coronal = _coronal(fac)
+    stack = fac.stack
     # a raised corner moves roots above the factor's, a lowered one below
-    shifted, lowered = coronal.blocks.copy(), coronal.blocks.copy()
-    shifted[0, 0, 0] += 1e-6
-    lowered[0, 0, 0] -= 1e-6
+    shifted, lowered = stack.blocks.copy(), stack.blocks.copy()
+    shifted[-1, 0, 0] += 1e-6
+    lowered[-1, 0, 0] -= 1e-6
     # a cell decoupled from V1 puts a root on a pole of nonzero weight,
     # where the factor has none
-    decoupled = coronal.blocks.copy()
-    decoupled[0, 0, 2] = decoupled[0, 2, 0] = 0.0
+    decoupled = stack.blocks.copy()
+    decoupled[-1, 0, 2] = decoupled[-1, 2, 0] = 0.0
     for blocks in (shifted, lowered, decoupled):
-        with pytest.raises(InternalCheckError, match="coronal root"):
-            dataclasses.replace(coronal, blocks=blocks).roots()
+        with pytest.raises(InternalCheckError, match="coronal root .* in row 9 "):
+            dataclasses.replace(stack, blocks=blocks).roots()
 
 
 def test_cvjoin_disconnected_base_matches_oracle():
@@ -715,7 +722,7 @@ def test_cvjoin_order_60_g2():
         oracle = np.linalg.eigvalsh(a_alpha_matrix(built, a))
         assert np.max(np.abs(np.sort(fac.roots()) - oracle)) <= 1e-8
         coronal = _coronal(fac)
-        z = coronal.roots()[0]
+        z = np.array(coronal.roots[::-1])
         x = (z[20] + z[21]) / 2
         for y in (oracle[-1] + 1.0, oracle[0] - 0.5, x):
             assert fac.evaluate(y) == pytest.approx(np.prod(y - oracle), rel=1e-8)

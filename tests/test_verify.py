@@ -337,6 +337,21 @@ def test_cospectral_family_notes_a_join_pair_no_cheap_invariant_separates(monkey
     assert any("non-isomorphism rests on the seed certificate" in n for n in report.notes)
 
 
+def test_cospectral_family_notes_seeds_no_cheap_invariant_separates():
+    # Petersen against a relabelled Petersen: the seeds are isomorphic, so no
+    # witness separates them, and the report says so rather than nothing
+    pet = generate("petersen")
+    perm = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+    twin = Graph.from_edges(10, [(perm[i], perm[j]) for i, j in pet.edges])
+    assert twin != pet
+    report = cospectral_cvjoin_family(pet, twin, generate("path", [2]), [Fraction(1, 2)])
+    assert report.all_passed
+    seed_notes = [n for n in report.notes if "seeds" in n]
+    assert seed_notes == [f"{pet.label}|graph(n=10,m=15) vjoin P2: no cheap invariant "
+                          "separates the seeds; they may be isomorphic"]
+    assert not any("non-isomorphic" in n for n in report.notes)
+
+
 def test_cospectral_family_preconditions():
     with pytest.raises(PreconditionError, match="cospectral"):
         cospectral_cvjoin_family(generate("complete", [4]),
@@ -425,9 +440,9 @@ def _single_power_cubic_reference(g1, g2, a):
     n1, r1, n2, r2 = g1.n, regularity(g1), g2.n, regularity(g2)
     fac = charpoly_cvjoin(g1, g2, a)
     vals = [fac.linear_root] * fac.linear_mult
-    for fam in fac.families:
-        if fam.label != "coronal":
-            vals += fam.roots().ravel().tolist()
+    for f in fac.factors:
+        if f.label != "coronal":
+            vals += f.roots
     t = n1 + a * n2 - (1 - a) * r1 - 1
     shift = [1.0, -(a * n1 + r2)]  # descending coefficients
     inner = np.polysub(np.polymul(shift, [1.0, -t]), [n1 * (1 - a) * n2])
