@@ -92,15 +92,16 @@ check compares the quotient block with the bracket.
 The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
 Perron copy dropped. In A(G1) each bipartite component's -r1 is exact, so
 its base row has weight 0 and its root 2a lies on its pole. CLUSTER_TOL
-grouping only names and counts the factors (factors and to_json, from one
-rooting of the stack) and never moves a root. Every root is checked
-against its factor in secular form, to TOL_ROOT.
+grouping only names and counts the factors (factors and to_json) and never
+moves a root. A FactoredCharPoly roots its stack once, when it is made,
+and checks every root against its factor in secular form, to TOL_ROOT;
+roots(), factors, evaluate and to_json read those checked rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -160,9 +161,9 @@ class ArrowheadStack:
     Row i has the secular function F(x) = x - t[i] - sum(weights[i] / (x -
     poles[i])) and the factor F(x) prod(x - poles[i]); blocks[i] holds the
     poles on its diagonal past the corner and sqrt(weights[i]) on its
-    border. F increases between consecutive poles (weights >= 0). keys,
-    when given, is the eigenvalue each row comes from, descending, which
-    FactoredCharPoly.factors groups by. kept, unless True, marks the
+    border. F increases between consecutive poles (weights >= 0). keys is
+    the eigenvalue each row comes from, descending, which
+    FactoredCharPoly.factors groups by. kept, a (K, d) bool mask, marks the
     eigenvalues of each block that are roots of its factor: a row padded to
     the block size d has poles of weight 0 above every root of its factor,
     which leave F unchanged and are the block's last eigenvalues, not kept.
@@ -173,8 +174,8 @@ class ArrowheadStack:
     t: np.ndarray
     poles: np.ndarray
     weights: np.ndarray
-    keys: np.ndarray = None
-    kept: object = True
+    keys: np.ndarray
+    kept: np.ndarray
 
     def roots(self):
         """(K, d) array; row i holds the eigenvalues of blocks[i], ascending,
@@ -233,7 +234,10 @@ class FactoredCharPoly:
     the base-eigenvalue quadratics, keyed by stack.keys and padded to the
     block size of the last row, then the factor named label. The factor
     degrees always sum to the order of the implied matrix; construction
-    fails rather than pad.
+    fails rather than pad. Construction then sets rows to stack.roots(), so
+    each of its roots has passed the secular check before the
+    FactoredCharPoly exists; roots(), factors, evaluate and to_json read it
+    and run no eigensolver.
     """
 
     linear_root: float
@@ -243,22 +247,24 @@ class FactoredCharPoly:
     stack: ArrowheadStack
     label: str
     order: int
+    rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         total = self.linear_mult + len(self.shifted) + np.count_nonzero(self.stack.kept)
         if total != self.order:
             raise InternalCheckError(
                 f"factor degrees sum to {total}, expected matrix order {self.order}")
+        object.__setattr__(self, "rows", self.stack.roots())
 
     @cached_property
     def factors(self):
-        """One Factor per distinct factor, with its multiplicity, from one
-        rooting of the stack: the g2-eigenvalue linear factors keyed by mu,
+        """One Factor per distinct factor, with its multiplicity, from the
+        checked rows: the g2-eigenvalue linear factors keyed by mu,
         the base-eigenvalue quadratics (the stack's rows but the last,
         without their padding) keyed by stack.keys, and the last row. Rows
         whose keys lie within CLUSTER_TOL are one factor, labelled "kind
         key"."""
-        s, z, x = self.stack, self.stack.roots(), self.shifted
+        s, z, x = self.stack, self.rows, self.shifted
         none = np.empty((len(x), 0))
         out = []
         for kind, keys, t, poles, weights, roots in (
@@ -285,10 +291,10 @@ class FactoredCharPoly:
 
     def roots(self):
         """All roots with multiplicity as an array, descending: the linear
-        roots as they are, and every other root from one rooting of the
-        stack, each row's padding dropped by position."""
+        roots as they are, and every other root from the checked rows, each
+        row's padding dropped by position."""
         parts = [np.full(self.linear_mult, float(self.linear_root)), self.shifted,
-                 self.stack.roots()[self.stack.kept]]
+                 self.rows[self.stack.kept]]
         return np.sort(np.concatenate(parts))[::-1]
 
     def to_json(self):

@@ -29,7 +29,7 @@ spectrum. The exception is closedform.ArrowheadStack.roots, which calls
 np.linalg.eigvalsh directly on its stack of small arrowhead blocks; its
 secular test, each root against its factor to TOL_ROOT, takes the place
 of the residual check.
-Polynomial evaluates, multiplies and serializes; it has no other algebra.
+Polynomial evaluates and serializes; it has no other algebra.
 A float polynomial given by its roots (char_poly, hoffman_poly) is
 multiplied out in one place, _from_roots, where no roots give the constant.
 Every exact charpoly runs in exactalg's engine, entered through
@@ -146,13 +146,6 @@ class Polynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def __mul__(self, other):
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.of(out)
 
     def to_json(self):
         cs = [str(c) if isinstance(c, Fraction) else float(c) for c in self.coeffs]

@@ -137,15 +137,15 @@ def _compared(label, alpha, source, closed, oracle, certified=True, note=""):
                      dev, oracle.values[-1], oracle.values[0], note)
 
 
-def spectra_equal(s1, s2, tol=TOL_MATCH):
+def spectra_equal(s1, s2):
     """True iff both spectra have the same length and agree positionwise.
 
     Positions are compared after descending sort, so this is multiset
-    equality at tolerance tol. For exact certificates compare characteristic
+    equality at TOL_MATCH. For exact certificates compare characteristic
     polynomials instead (charpolys_equal_exact).
     """
     v1, v2 = (Spectrum.from_values(list(s)).values for s in (s1, s2))
-    return len(v1) == len(v2) and _gap(v1, v2) <= tol
+    return len(v1) == len(v2) and _gap(v1, v2) <= TOL_MATCH
 
 
 def charpolys_equal_exact(m1, m2):

@@ -35,13 +35,15 @@ def _max_dev(spec1, spec2):
 def _arrowheads(label, corner, t, poles, weights):
     """The stack of blocks [[corner, sqrt(w)^T], [sqrt(w), diag(p)]] against
     the factors of (t, poles, weights): poles and weights are (K, d - 1)
-    arrays, t has length K and corner broadcasts to it."""
+    arrays, t has length K and corner broadcasts to it. Every eigenvalue is
+    kept, and the rows are keyed 0 .. K - 1."""
     k, m = poles.shape
     blocks = np.zeros((k, m + 1, m + 1))
     blocks[:, 0, 0] = corner
     blocks.reshape(k, (m + 1) ** 2)[:, m + 2::m + 2] = poles  # the diagonal past the corner
     blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.sqrt(weights)
-    return ArrowheadStack(label, blocks, t, poles, weights)
+    return ArrowheadStack(label, blocks, t, poles, weights, np.arange(k, dtype=float),
+                          np.ones((k, m + 1), dtype=bool))
 
 
 def _quadratic_stack(corner, t, pole, weight):
@@ -180,20 +182,41 @@ def test_factors_hold_every_root_once(a):
         assert all(len(f.roots) == f.degree * f.mult for f in fac.factors), entry
 
 
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 1.0])
+def test_each_case_is_rooted_once_when_made(monkeypatch, a):
+    # the maker roots the whole stack in one eigvalsh; the spectrum, the
+    # factors, the JSON and a point value read the checked rows
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counted(blocks):
+        shapes.append(blocks.shape)
+        return eigvalsh(blocks)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for entry in default_catalog():
+        g1, second = (entry, None) if isinstance(entry, Graph) else entry
+        fac = (charpoly_central_regular(g1, a) if second is None
+               else charpoly_cvjoin(g1, second, a))
+        assert shapes == [fac.stack.blocks.shape], entry
+        assert fac.roots().tobytes() == fac.roots().tobytes()
+        assert fac.factors and fac.to_json() and np.isfinite(fac.evaluate(0.5))
+        assert len(shapes) == 1, entry
+        shapes.clear()
+
+
 def test_factors_refuse_a_moved_root(monkeypatch):
-    # a factor is listed only after its roots pass the secular check
-    fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.37)
+    # a case is made, and its factors listed, only after its roots pass the
+    # secular check
+    g1, g2 = generate("petersen"), generate("cycle", [5])
     _move_one_root(monkeypatch, 0, 0)
     with pytest.raises(InternalCheckError, match="base-eigenvalue and coronal root .* in row 0 "):
-        fac.factors
+        charpoly_cvjoin(g1, g2, 0.37)
 
 
 def _where(fac, row_kind):
     """(row, column) of one eigenvalue of fac.stack: a base row's root, the
     last row's, a bipartite base's root on its pole 2a of weight 0, or a
     base row's padding eigenvalue."""
-    s = fac.stack
-    z = s.roots()
+    s, z = fac.stack, fac.rows
     if row_kind == "base":
         return 0, 0
     d = s.blocks.shape[-1]
@@ -220,26 +243,27 @@ def test_secular_check_bites_on_every_kind_of_stack_row(monkeypatch, row_kind, g
     def load(spec):
         name, _, params = spec.partition(":")
         return generate(name, [int(p) for p in params.split(",")] if params else [])
-    g1 = load(g1)
-    fac = (charpoly_central_regular(g1, 0.37) if second is None
-           else charpoly_cvjoin(g1, load(second), 0.37))
-    row, col = _where(fac, row_kind)
+    g1, g2 = load(g1), None if second is None else load(second)
+
+    def make():
+        return charpoly_central_regular(g1, 0.37) if g2 is None else charpoly_cvjoin(g1, g2, 0.37)
+    row, col = _where(make(), row_kind)
     label = "principal" if second is None else "coronal"
     _move_one_root(monkeypatch, row, col)
     with pytest.raises(InternalCheckError, match=f"base-eigenvalue and {label} root .* in row {row} "):
-        fac.roots()
+        make()
 
 
 def test_padding_leaves_each_rows_check_interval_alone(monkeypatch):
     # Petersen v C5 at 0.37: base row 0 has roots 0.30 and 4.36, so its check
     # interval is h = 4.36e-10; its padding eigenvalue 15 would give 1.5e-9.
     # A root moved by 1e-9 lies between the two and must be refused
-    fac = charpoly_cvjoin(generate("petersen"), generate("cycle", [5]), 0.37)
-    z = fac.stack.roots()
+    g1, g2 = generate("petersen"), generate("cycle", [5])
+    z = charpoly_cvjoin(g1, g2, 0.37).rows
     assert z[0, 1] < 5 and z[0, 2] == 15.0
     _move_one_root(monkeypatch, 0, 0, by=1e-9)
     with pytest.raises(InternalCheckError, match="in row 0 is not within 4.359e-10"):
-        fac.roots()
+        charpoly_cvjoin(g1, g2, 0.37)
 
 
 # --- central graph closed form
@@ -684,9 +708,13 @@ def test_coronal_block_disagreeing_with_factor_raises():
     # where the factor has none
     decoupled = stack.blocks.copy()
     decoupled[-1, 0, 2] = decoupled[-1, 2, 0] = 0.0
+    # a FactoredCharPoly roots whatever stack it is made with; its rows are
+    # no argument, so they cannot be handed in unchecked
     for blocks in (shifted, lowered, decoupled):
         with pytest.raises(InternalCheckError, match="coronal root .* in row 9 "):
-            dataclasses.replace(stack, blocks=blocks).roots()
+            dataclasses.replace(fac, stack=dataclasses.replace(stack, blocks=blocks))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(fac, rows=fac.rows)
 
 
 def test_cvjoin_disconnected_base_matches_oracle():

@@ -92,7 +92,7 @@ def test_sweep_empty_grid():
 def test_spectra_equal_reflexive_and_symmetric():
     s = eigenvalues_sym(adjacency_matrix(generate("petersen")))
     t = eigenvalues_sym(adjacency_matrix(generate("cycle", [4])))
-    assert spectra_equal(s, s, tol=0.0)
+    assert spectra_equal(s, s)
     assert spectra_equal(s, t) == spectra_equal(t, s) == False  # noqa: E712
 
 
