@@ -49,32 +49,38 @@ case. A Factor is one row in secular form, (t, poles, weights), with the
 roots of the rows it stands for; its coefficients and point value are read
 from that row.
 
-The k cells of the coarsest equitable partition of G2 (the parts {P, Q} for
-K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding the
-all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
-cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2. A Graph's cell
-count, cell sizes and quotient are read from Graph._quotient alone. One
-solver, spectra._coronal_quotient, turns a quotient into its pairs (v, c),
-for the coronal check and for a regular or (p, q) G2 in the join: one
-cell is read off, two cells take one Jacobi rotation in closed form, and
-k >= 3 cells one checked eigensolve of order k.
+The k cells of the coarsest equitable partition of G2 (the parts {P, Q}
+for K_{p,q} given as (p, q)) span an A_alpha(G2)-invariant space holding
+the all-ones vector, so Gamma(y) = sum of c_i / (y - v_i) over the k
+cell-constant eigenpairs (v_i, x_i), c_i = (x_i^T 1)^2, and the n2 - k
+other eigenvalues mu_i of A_alpha(G2) give the linear factors. Every G2
+reaches the join as one split, (mu, v, c) (_g2_split). A Graph's cell
+count, cell sizes and quotient are read from Graph._quotient alone, and
+one solver, spectra._coronal_quotient, turns every quotient into its pairs
+(v, c), for the coronal check and for every G2 in the join: one cell is
+read off, two cells take one Jacobi rotation in closed form, and k >= 3
+cells one checked eigensolve of order k.
 
-One cell, as for every r2-regular G2: the all-ones vector is an
-eigenvector with eigenvalue r2 at every alpha, so v = [r2] and c = [n2],
-and A_alpha(G2) = alpha r2 I + (1 - alpha) A(G2) makes mu affine in alpha
-over the adjacency spectrum lambda: mu = alpha r2 + (1 - alpha) lambda
-with one copy of r2 dropped. K_{p,q} given as (p, q) is two cells, its
-quotient written down as d = (q, p), R = [[0, sqrt(pq)], [sqrt(pq), 0]]
-and s = (p, q), with no graph formed: A(K_{p,q}) is zero on the vectors
-that sum to zero on each part, so mu is alpha q with multiplicity p - 1
-and alpha p with multiplicity q - 1. For any other G2 (k >= 2) one
-eigendecomposition of A_alpha(G2) + sigma P (P the projector onto
-cell-constant vectors, sigma = 2 Delta(G2) + 1) splits G2 into the n2 - k
-other eigenvalues, the linear factors, and the k pairs (v_i, c_i); the
-central graph's split is empty. So only a non-regular Graph G2 pays an
-eigensolve per alpha. The adjacency spectra of G1 and of a regular G2 are
-each solved once per Graph instance and kept on it (graphs.Graph), so a
-sweep over alphas solves neither again.
+mu is affine in alpha whenever any two cells are joined completely or not
+at all (a generalized join of regular graphs over the cells; Cardoso, de
+Freitas, Martins and Robbiano, Discrete Math. 313 (2013) 733-741). Off
+the cell-constant vectors A_alpha(G2) then acts on cell X as alpha d_X +
+(1 - alpha) A(G2[X]), so mu = alpha d + (1 - alpha) lam over the
+alpha-free Graph._cell_spectra: each cell's degree d_X and the adjacency
+spectrum of the regular graph G2[X], less one Perron copy. One cell
+covers every regular G2, whose own adjacency spectrum is lam. K_{p,q}
+given as (p, q) writes its quotient down, d = (q, p), R = [[0, sqrt(pq)],
+[sqrt(pq), 0]] and s = (p, q), and its two edgeless cells, d = q (p - 1
+times) and p (q - 1 times) with lam = 0, with no graph formed. Regular
+graphs, K_{p,q} given either way, wheels, complete multipartite graphs,
+cones over regular graphs and disjoint unions of regular graphs thus pay
+no eigensolve of order n2 per alpha: the adjacency spectra of G1 and of
+the cells of G2 are each solved once per Graph instance and kept on it
+(graphs.Graph), so a sweep over alphas solves neither again. Only a G2
+with two cells joined partly, such as P4, takes mu from one checked
+eigensolve of A_alpha(G2) + sigma P per alpha (P the projector onto the
+cell-constant vectors, sigma = 2 Delta(G2) + 1, so that the cell-constant
+eigenvalues come last); the central graph's split is empty.
 
 The last bracket times the k linear factors it cancels is the
 characteristic polynomial of the arrowhead
@@ -89,13 +95,14 @@ and Royle, Algebraic Graph Theory, section 9.3): 2x2 for the central graph
 expression while t = n1 + a n2 - (1-a) r1 - 1 keeps the bracket's, so the
 check compares the quotient block with the bracket.
 
-The blocks take the raw eigenvalue arrays of A(G1) and A_alpha(G2) with one
-Perron copy dropped. In A(G1) each bipartite component's -r1 is exact, so
-its base row has weight 0 and its root 2a lies on its pole. CLUSTER_TOL
-grouping only names and counts the factors (factors and to_json) and never
-moves a root. A FactoredCharPoly roots its stack once, when it is made,
-and checks every root against its factor in secular form, to TOL_ROOT;
-roots(), factors, evaluate and to_json read those checked rows.
+The blocks take the raw eigenvalue array of A(G1) with one Perron copy
+dropped, and the linear factors take mu as _g2_split gives it. In A(G1)
+each bipartite component's -r1 is exact, so its base row has weight 0 and
+its root 2a lies on its pole. CLUSTER_TOL grouping only names and counts
+the factors (factors and to_json) and never moves a root. A
+FactoredCharPoly roots its stack once, when it is made, and checks every
+root against its factor in secular form, to TOL_ROOT; roots(), factors,
+evaluate and to_json read those checked rows.
 """
 
 from __future__ import annotations
@@ -394,58 +401,47 @@ def spectrum_central_regular(G, alpha):
 # central vertex join
 
 def _g2_split(g2, a):
-    """The split (mu, v, c) of a second graph that _charpoly_join takes.
+    """The split (mu, v, c) of a second graph that _charpoly_join takes:
+    (v, c) from spectra._coronal_quotient on the quotient of G2, and mu
+    from the cells' own spectra.
 
     g2 is any Graph, or a (p, q) tuple for K_{p,q}, its sizes decided by
-    graphs._sizes as generate decides them. Every pair (v, c) but those of
-    the generic branch below comes from spectra._coronal_quotient, on the
-    Graph's Graph._quotient or on the quotient of the tuple.
+    graphs._sizes as generate decides them. A Graph gives its
+    Graph._quotient and its Graph._cell_spectra (d, lam), so mu = alpha d +
+    (1 - alpha) lam, sorted descending, with no eigensolve: one cell (a
+    regular graph) holds d = r2 and the graph's own adjacency spectrum less
+    one copy of r2, and several cells, joined completely or not at all,
+    hold each cell's degree and induced spectrum. A tuple writes both down
+    as plain Python numbers with no graph formed: its quotient d = (q, p),
+    R = [[0, sqrt(pq)], [sqrt(pq), 0]] and s = (p, q), so the coronal
+    factor of K_{p,q} is a quartic even when p = q, and its two edgeless
+    cells, d = q (p - 1 times) and p (q - 1 times) with lam = 0.
 
-    A tuple is split over the parts {P, Q} with no eigensolve: A(K_{p,q})
-    is zero on every vector that sums to zero on each part, and the degree
-    is q on P and p on Q, so mu is alpha q with multiplicity p - 1 and
-    alpha p with multiplicity q - 1. Its quotient is written down as plain
-    Python numbers, d = (q, p), R = [[0, sqrt(pq)], [sqrt(pq), 0]] and s =
-    (p, q), with no graph or array formed, and its two pairs come from one
-    rotation, so the coronal factor of K_{p,q} is a quartic even when p =
-    q.
-
-    An r2-regular Graph is one cell, spanned by the all-ones vector, and
-    its pair is read off as (r2, n2). A_alpha(G2) = alpha r2 I + (1 -
-    alpha) A(G2) shares A(G2)'s eigenvectors, so mu is affine in alpha
-    over the graph's cached, checked adjacency spectrum: mu = alpha r2 +
-    (1 - alpha) lambda with one copy of r2 dropped.
-
-    Otherwise (k >= 2) one checked eigendecomposition of A_alpha(G2) +
-    sigma P, P the projector onto the cell-constant vectors, built from
-    each vertex's cell (Graph._cell_colours) and the cell sizes, splits by
-    index into the n2 - k eigenvalues orthogonal to the cell-constant
-    vectors and the k cell-constant pairs (v_i, c_i), c_i = (x_i^T 1)^2 as
-    in the coronal. That solve is needed for mu, so the pairs are read off
-    it rather than solved again on the quotient.
+    A Graph whose cells are joined partly (_cell_spectra None, as for P4)
+    takes mu from one checked eigensolve of A_alpha(G2) + sigma P, P the
+    projector onto the cell-constant vectors, built from each vertex's cell
+    (Graph._cell_colours) and the cell sizes: sigma exceeds the spread of
+    A_alpha(G2), whose spectral radius is at most its largest degree, so
+    the n2 - k eigenvalues orthogonal to the cell-constant vectors come
+    first.
     """
     if isinstance(g2, tuple):
         p, q = _sizes("complete_bipartite", g2, ("p", "q"))
-        (hi, n_hi), (lo, n_lo) = sorted(((a * q, p - 1), (a * p, q - 1)), reverse=True)
         y = math.sqrt(p * q)
-        mu = np.array([hi] * n_hi + [lo] * n_lo)
-        return (mu, *_coronal_quotient(((q, p), ((0.0, y), (y, 0.0)), (p, q)), a))
-    r2 = regularity(g2)
-    if r2 is not None:
-        # every adjacency eigenvalue but the largest (a copy of r2), descending
-        mu = a * r2 + (1 - a) * g2._adjacency_eigenvalues[-2::-1]
-        return (mu, *_coronal_quotient(g2._quotient, a))
-    size = g2._quotient[2]
-    n2, k = g2.n, len(size)
-
-    # sigma exceeds the spread of A_alpha(G2), whose spectral radius is at
-    # most its largest degree, so the cell-constant eigenvalues come last
-    M = a_alpha_matrix(g2, a)
-    sigma = 2 * M.sum(axis=1).max() + 1
-    colour = np.array(g2._cell_colours)
-    M += sigma * ((colour[:, None] == colour) / size[colour])
-    w, V = _eigh_checked(M)
-    return w[:n2 - k][::-1], w[n2 - k:] - sigma, V[:, n2 - k:].sum(axis=0) ** 2
+        quotient = (q, p), ((0.0, y), (y, 0.0)), (p, q)
+        cell_spectra = np.array([q] * (p - 1) + [p] * (q - 1)), 0.0
+    else:
+        quotient, cell_spectra = g2._quotient, g2._cell_spectra
+    if cell_spectra is None:
+        M = a_alpha_matrix(g2, a)
+        sigma = 2 * M.sum(axis=1).max() + 1
+        colour, size = np.array(g2._cell_colours), quotient[2]
+        M += sigma * ((colour[:, None] == colour) / size[colour])
+        mu = _eigh_checked(M)[0][:g2.n - len(size)][::-1]
+    else:
+        d, lam = cell_spectra
+        mu = np.sort(a * d + (1 - a) * lam)[::-1]
+    return (mu, *_coronal_quotient(quotient, a))
 
 
 def charpoly_cvjoin(G1, g2, alpha):

@@ -75,7 +75,9 @@ class Graph:
     computed once, on first use, and kept on the instance: the edge index
     and its (I, J) endpoint arrays, the edge set, the degree tuple, the
     common degree (regularity), the colours of the coarsest equitable
-    partition and the alpha-free parts of the quotient over it, the float
+    partition, the alpha-free parts of the quotient over it and, when every
+    two of its cells are joined completely or not at all, the cells'
+    degrees and induced adjacency spectra (_cell_spectra), the float
     adjacency matrix (stored read-only) and its checked ascending
     eigenvalues. They live exactly as long as the instance. Public
     accessors (degree_sequence, adjacency_matrix) hand out copies the
@@ -245,14 +247,38 @@ class Graph:
         Algebraic Graph Theory, section 9.3). Counted from the edge index in
         O(m + k^2).
         """
-        colour = np.array(self._cell_colours)
-        k = int(colour.max()) + 1
-        I, J = self._edge_index
-        X, Y = colour[I], colour[J]
-        ends = np.bincount(np.concatenate([X * k + Y, Y * k + X]), minlength=k * k)
-        size = np.bincount(colour, minlength=k)
-        B = ends.reshape(k, k) / size[:, None]
+        ends, size = _cell_edges(self)
+        B = ends / size[:, None]
         return tuple(map(_read_only, (B.sum(axis=1), np.sqrt(B * B.T), size)))
+
+    @cached_property
+    def _cell_spectra(self):
+        """(d, lam), read-only, or None: the alpha-free data that gives the
+        eigenvalues of A_alpha off the cell-constant vectors as alpha d +
+        (1 - alpha) lam, or None unless every two cells of the coarsest
+        equitable partition are joined completely or not at all.
+
+        Each cell X induces a regular graph G[X], as the partition is
+        equitable. When every two cells are joined completely or not at all,
+        a vector supported on X that sums to zero there is sent by A to
+        A(G[X]) times itself, as every vertex outside X sees all of X or
+        none of it, and D is d_X on X. So A_alpha acts there as alpha d_X +
+        (1 - alpha) A(G[X]), whose eigenvalues off the all-ones vector of X
+        are those of G[X] less one Perron copy (Cardoso, de Freitas,
+        Martins and Robbiano, Discrete Math. 313 (2013) 733-741). lam holds
+        them, cell by cell, from each induced graph's checked
+        _adjacency_eigenvalues (a one-cell graph reads its own), and d
+        repeats each cell's degree (_quotient) once per eigenvalue. Whether
+        two cells are joined completely is decided from their integer edge
+        count, which must be 0 or the product of their sizes.
+        """
+        ends, size = _cell_edges(self)
+        if ((ends != 0) & (ends != np.outer(size, size)) & ~np.eye(len(size), dtype=bool)).any():
+            return None
+        cells = [self] if len(size) == 1 else [Graph._from_adjacency(self._adjacency[np.ix_(X, X)])
+                                               for X in equitable_partition(self)]
+        lam = np.concatenate([G._adjacency_eigenvalues[:-1] for G in cells])
+        return _read_only(np.repeat(self._quotient[0], size - 1)), _read_only(lam)
 
     @cached_property
     def _adjacency(self):
@@ -288,6 +314,18 @@ class Graph:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _cell_edges(G):
+    """(E, s) over the k cells of the coarsest equitable partition
+    (Graph._cell_colours): the k x k integer counts E[X, Y] of the edges
+    between cells X and Y, twice the edges inside X on the diagonal, and
+    the cell sizes. O(m + k^2)."""
+    colour = np.array(G._cell_colours)
+    k = int(colour.max()) + 1
+    X, Y = colour[np.stack(G._edge_index)]
+    ends = np.bincount(np.concatenate([X * k + Y, Y * k + X]), minlength=k * k)
+    return ends.reshape(k, k), np.bincount(colour, minlength=k)
 
 
 def _size(x, what, minimum=1):

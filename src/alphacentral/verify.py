@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exactalg
 from .closedform import (TOL_MATCH, _charpoly_join, _g2_split, spectrum_central_regular,
-                         spectrum_cvjoin_kpq, spectrum_cvjoin_regular)
+                         spectrum_cvjoin_regular)
 from .construct import central_graph, central_vertex_join
 from .errors import PreconditionError
 from .graphs import Graph, adjacency_matrix, generate, nonisomorphism_witness, regularity
@@ -203,13 +203,10 @@ def _closed_and_built(entry):
         return (f"central({_name(entry)})", "central-factorization",
                 lambda a: spectrum_central_regular(entry, a), central_graph(entry))
     g1, second = entry
-    if isinstance(second, tuple):
-        return (f"{_name(g1)} vjoin K{second[0]},{second[1]}", "cvjoin-kpq-factorization",
-                lambda a: spectrum_cvjoin_kpq(g1, *second, a),
-                central_vertex_join(g1, generate("complete_bipartite", list(second))))
-    return (f"{_name(g1)} vjoin {_name(second)}", "cvjoin-factorization",
-            lambda a: spectrum_cvjoin_regular(g1, second, a),
-            central_vertex_join(g1, second))
+    g2 = generate("complete_bipartite", list(second)) if isinstance(second, tuple) else second
+    return (f"{_name(g1)} vjoin {_name(g2)}",
+            "cvjoin-factorization" if g2 is second else "cvjoin-kpq-factorization",
+            lambda a: spectrum_cvjoin_regular(g1, second, a), central_vertex_join(g1, g2))
 
 
 def sweep(catalog, alpha_grid, include_formula_notes=True):

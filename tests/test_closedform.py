@@ -761,8 +761,8 @@ def test_cvjoin_order_60_g2():
 def _shifted_split(G2, a, cells=None):
     """The split of G2 by one eigendecomposition of A_alpha(G2) + sigma P, P
     the projector onto the cell-constant vectors of the given cells, by
-    default G2's coarsest equitable partition: the route every non-regular
-    G2 takes."""
+    default G2's coarsest equitable partition: the reference for every
+    split, and the route of a G2 whose cells are joined partly."""
     cells = cells or equitable_partition(G2)
     n2, k = G2.n, len(cells)
     P = np.zeros((n2, n2))
@@ -775,17 +775,72 @@ def _shifted_split(G2, a, cells=None):
     return w[:n2 - k][::-1], w[n2 - k:] - sigma, c[n2 - k:]
 
 
+def _wheel(k):
+    """The wheel on k + 1 vertices: the cycle C_k with a hub joined to all."""
+    return _cone(generate("cycle", [k]))
+
+
+def _cone(G):
+    """G with one more vertex joined to every vertex of G."""
+    return Graph.from_edges(G.n + 1, [*G.edges, *((v, G.n) for v in range(G.n))])
+
+
+_PARTS_223 = [0, 0, 1, 1, 2, 2, 2]
+
+
 @pytest.mark.parametrize("g2", [
     generate("complete", [1]),
     Graph.from_edges(3, []),  # r2 = 0
     Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2K3: r2 twice
-    generate("cycle", [5]), generate("petersen"), generate("shrikhande")],
-    ids=["K1", "3K1", "2K3", "C5", "Petersen", "Shrikhande"])
-@pytest.mark.parametrize("a", [0.0, 0.3, 0.9999, 1.0])
+    generate("cycle", [5]), generate("petersen"), generate("shrikhande"),
+    generate("complete_bipartite", [1, 4]), generate("complete_bipartite", [2, 3]),
+    _wheel(5), _wheel(6),
+    Graph.from_edges(7, [(i, j) for i in range(7) for j in range(i + 1, 7)
+                         if _PARTS_223[i] != _PARTS_223[j]]),
+    PAW, _cone(generate("petersen")), Graph.from_edges(3, [(0, 1)])],
+    ids=["K1", "3K1", "2K3", "C5", "Petersen", "Shrikhande", "K1,4", "K2,3", "W5", "W6",
+         "K2,2,3", "paw", "cone(Petersen)", "K2+K1"])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.37, 0.9999, 1.0])
 def test_regular_g2_split_matches_the_shifted_eigendecomposition(g2, a):
-    # a regular G2 is one cell, so the affine split from its adjacency
-    # spectrum must be the shifted eigendecomposition's, up to rounding
-    assert len(equitable_partition(g2)) == 1
+    # any two cells of each G2 here, a regular graph (one cell) or a
+    # generalized join, are joined completely or not at all, so mu is
+    # affine in alpha over the cells' degrees and induced adjacency
+    # spectra; the split must be the shifted eigendecomposition's, up to
+    # rounding, and at alpha = 1 mu is the cells' degrees exactly
+    assert g2._cell_spectra is not None
+    got = _g2_split(g2, a)
+    for g, w in zip(got, _shifted_split(g2, a)):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    if a == 1.0:
+        degree = g2.degree_sequence
+        cells = equitable_partition(g2)
+        want = sorted((degree[v] for X in cells for v in X[1:]), reverse=True)
+        assert got[0].tolist() == want
+
+
+def test_generalized_join_split_solves_nothing_at_a_second_alpha(monkeypatch):
+    # K2,3 given as a Graph and the wheel W5 keep their cells' spectra on
+    # the instance, so after one split a split at another alpha makes no
+    # np.linalg call
+    graphs = generate("complete_bipartite", [2, 3]), _wheel(5)
+    want = [_shifted_split(g2, 0.37) for g2 in graphs]
+    for g2 in graphs:
+        _g2_split(g2, 0.25)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "norm", "solve"):
+        monkeypatch.setattr(np.linalg, name, None)
+    for g2, split in zip(graphs, want):
+        for g, w in zip(_g2_split(g2, 0.37), split):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.9999, 1.0])
+def test_partly_joined_cells_take_the_shifted_eigensolve(n, a):
+    # the end cell of a path is joined to only part of the next cell, so
+    # P4 and P5 keep no cell spectra and mu comes from the eigensolve
+    g2 = generate("path", [n])
+    assert g2._cell_spectra is None
     for got, want in zip(_g2_split(g2, a), _shifted_split(g2, a)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -1,9 +1,9 @@
 """Property tests: every rooted closed form against the eigensolver on the
 explicitly built matrix, over regular base graphs, arbitrary second graphs
-of a join, and alphas drawn near 0, 1/2 and 1 as well as uniformly; the
-quotient coronal against the resolvent of the whole matrix; the rotation of
-a two-cell quotient against the eigensolver; and the coronal check far
-above the spectra."""
+of a join and generalized joins of regular parts, and alphas drawn near 0,
+1/2 and 1 as well as uniformly; the quotient coronal against the resolvent
+of the whole matrix; the rotation of a two-cell quotient against the
+eigensolver; and the coronal check far above the spectra."""
 
 import random
 from itertools import combinations
@@ -125,6 +125,38 @@ def test_kpq_join_closed_form_matches_eigensolver(g1, p, q, a):
 @SETTINGS
 @given(g1=regular_graphs(min_degree=2), g2=any_graphs(max_order=12), a=alphas)
 def test_any_join_closed_form_matches_eigensolver(g1, g2, a):
+    closed = spectrum_cvjoin_regular(g1, g2, a)
+    assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH
+
+
+@st.composite
+def generalized_joins(draw):
+    """H[G_1, ..., G_k], its vertices relabelled at random: k parts, each
+    an edgeless, a complete or a cycle graph, on a random pattern H, so
+    parts i and j are joined completely where ij is an edge of H and not
+    at all elsewhere."""
+    kinds = draw(st.lists(st.sampled_from(["edgeless", "complete", "cycle"]),
+                          min_size=1, max_size=4))
+    parts, edges, n = [], [], 0
+    for kind in kinds:
+        s = draw(st.integers(3 if kind == "cycle" else 1, 5))
+        part = range(n, n + s)
+        if kind == "complete":
+            edges += combinations(part, 2)
+        elif kind == "cycle":
+            edges += [(v, n + (v - n + 1) % s) for v in part]
+        parts.append(part)
+        n += s
+    pairs = list(combinations(parts, 2))
+    for P, Q in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        edges += [(u, v) for u in P for v in Q]
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@SETTINGS
+@given(g1=regular_graphs(min_degree=2), g2=generalized_joins(), a=alphas)
+def test_generalized_join_closed_form_matches_eigensolver(g1, g2, a):
     closed = spectrum_cvjoin_regular(g1, g2, a)
     assert _deviation(closed, central_vertex_join(g1, g2), a) <= TOL_MATCH
 
