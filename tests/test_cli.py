@@ -1,11 +1,19 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from alphacentral import (generate, parse_edge_list, spectrum_central_regular,
                           spectrum_cvjoin_regular)
 from alphacentral.cli import main
+
+# second graphs as edge-list files: 2K3, the wheel W5, K2,2,3 and the paw
+K2K3 = "6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
+W5 = "6\n0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n1 5\n2 5\n3 5\n4 5\n"
+K223 = ("7\n0 2\n0 3\n0 4\n0 5\n0 6\n1 2\n1 3\n1 4\n1 5\n1 6\n2 4\n2 5\n2 6\n"
+        "3 4\n3 5\n3 6\n")
+PAW = "4\n0 1\n0 2\n1 2\n2 3\n"
 
 
 def run(capsys, *argv):
@@ -87,6 +95,9 @@ def test_spectrum_exact_mode(capsys):
     assert code == 0
     vals = [float(v) for v in out.split()]
     assert vals == pytest.approx([1.0, 0.0], abs=1e-12)
+    code, out, _ = run(capsys, "spectrum", "complete:2", "--exact", "1/2", "--json")
+    assert code == 0
+    assert json.loads(out)["mode"] == "exact-matrix"
 
 
 def test_charpoly_exact_fractions(capsys):
@@ -127,12 +138,38 @@ def test_closed_spectrum_cvjoin_json(capsys):
     assert any(f["label"] == "coronal" for f in payload["factors"]["factors"])
 
 
+def test_closed_spectrum_cvjoin_rows_come_from_one_rooting(capsys, monkeypatch):
+    # every factor row of Petersen vjoin C5 at 0.5, in order, with its root
+    # count; the counts sum to n1 + m1 + n2 = 30
+    argv = ("closed-spectrum", "cvjoin", "petersen", "cycle:5", "--alpha", "0.5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [(label, len(roots.split()))
+            for label, roots in (line.split(": ") for line in out.splitlines())]
+    assert rows == [("subdivision (x - 1)", 5), ("g2-eigenvalue 1.309016994", 2),
+                    ("g2-eigenvalue 0.1909830056", 2), ("base-eigenvalue 1", 10),
+                    ("base-eigenvalue -2", 8), ("coronal", 3)]
+    # the JSON form prints the spectrum and the factors from one rooting:
+    # one eigvalsh, on the case's (10, 3, 3) stack
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counted(blocks):
+        shapes.append(blocks.shape)
+        return eigvalsh(blocks)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and shapes == [(10, 3, 3)]
+    f = json.loads(out)["factors"]
+    assert f["linear"]["mult"] + sum((len(x["coeffs"]) - 1) * x["mult"]
+                                     for x in f["factors"]) == 30
+
+
 def test_closed_spectrum_precondition_exit(capsys, tmp_path):
     code, _, err = run(capsys, "closed-spectrum", "central", "complete:2",
                        "--alpha", "0.5")
     assert code == 2 and "precondition" in err
     paw = tmp_path / "paw.txt"
-    paw.write_text("4\n0 1\n0 2\n1 2\n2 3\n")
+    paw.write_text(PAW)
     # a G2 that is neither regular nor K_{p,q} is rooted like any other
     code, out, _ = run(capsys, "closed-spectrum", "cvjoin", "complete:3",
                        str(paw), "--alpha", "0.5")
@@ -141,7 +178,7 @@ def test_closed_spectrum_precondition_exit(capsys, tmp_path):
 
 def test_closed_spectrum_json_is_the_closed_form_spectrum(capsys, tmp_path):
     paw = tmp_path / "paw.txt"
-    paw.write_text("4\n0 1\n0 2\n1 2\n2 3\n")
+    paw.write_text(PAW)
     pet = generate("petersen")
     for argv, expected in (
             (("cvjoin", "petersen", str(paw)),
@@ -195,19 +232,34 @@ def test_energy(capsys):
 
 
 def test_verify_catalog_file(tmp_path, capsys):
-    catalog = tmp_path / "catalog.txt"
-    catalog.write_text(
-        "# tiny catalog\n"
-        "central complete:3\n"
-        "cvjoin complete:3 complete:2\n"
-        "kpq cycle:4 1 1\n")
-    csv_out = tmp_path / "report.csv"
-    code, out, _ = run(capsys, "verify", "--catalog", str(catalog),
-                       "--grid", "0,0.5", "--csv", str(csv_out))
-    assert code == 0
-    assert "summary: 6 pass, 0 fail" in out
-    assert csv_out.read_text().startswith("label,alpha")
-    assert "note:" in out  # formula discrepancy notes are printed
+    # K1 is the 0-regular second graph; 2K3 repeats its Perron root 2;
+    # K1,4, the wheel W5, K2,2,3 and the paw are generalized joins of
+    # regular cells, whose mu comes from the cells' own spectra
+    for name, text in (("2k3", K2K3), ("w5", W5), ("k223", K223), ("paw", PAW)):
+        (tmp_path / f"{name}.txt").write_text(text)
+    seconds = ("central petersen\ncentral cycle:5\ncentral complete:4\n"
+               "central cycle:6\ncentral complete_bipartite:3,3\n"
+               "cvjoin petersen path:5\ncvjoin cycle:4 path:4\n"
+               "cvjoin complete_bipartite:3,3 cycle:5\nkpq petersen 3 3\n"
+               "cvjoin petersen complete:1\ncvjoin cycle:5 {dir}/2k3.txt\n"
+               "cvjoin petersen complete_bipartite:1,4\ncvjoin petersen {dir}/w5.txt\n"
+               "cvjoin cycle:5 {dir}/k223.txt\ncvjoin complete:4 {dir}/paw.txt\n")
+    for text, grid, summary in (
+            ("# tiny catalog\n"
+             "central complete:3\n"
+             "cvjoin complete:3 complete:2\n"
+             "kpq cycle:4 1 1\n", "0,0.5", "summary: 6 pass, 0 fail, 0 skip"),
+            (seconds.format(dir=tmp_path), "0,0.5,0.9999,1",
+             "summary: 60 pass, 0 fail, 0 skip")):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(text)
+        csv_out = tmp_path / "report.csv"
+        code, out, _ = run(capsys, "verify", "--catalog", str(catalog),
+                           "--grid", grid, "--csv", str(csv_out))
+        assert code == 0
+        assert summary in out
+        assert csv_out.read_text().startswith("label,alpha")
+        assert "note:" in out  # formula discrepancy notes are printed
 
 
 def test_verify_json(tmp_path, capsys):
@@ -265,18 +317,33 @@ def test_cospectral_command(capsys):
                        "path:3", "--grid", "0,0.5")
     assert code == 0
     assert "pass" in out
+    # a rational grid certifies every alpha exactly
+    code, out, _ = run(capsys, "cospectral", "shrikhande", "rook4x4",
+                       "path:3", "--grid", "0/1,1/3,4/7,1/1")
+    assert code == 0
+    assert sum("exact certificate: identical characteristic polynomials" in line
+               for line in out.splitlines()) == 4
 
 
-def test_cospectral_precondition(capsys):
+def test_cospectral_precondition(tmp_path, capsys):
     code, _, err = run(capsys, "cospectral", "complete:4", "cycle:4", "path:3")
     assert code == 2
     assert "cospectral" in err
+    # C6 and 2K3 are 2-regular of order 6 but not cospectral
+    (tmp_path / "2k3.txt").write_text(K2K3)
+    code, _, err = run(capsys, "cospectral", "cycle:6", str(tmp_path / "2k3.txt"),
+                       "path:3", "--grid", "1/2")
+    assert code == 2
+    assert "seed graphs are not adjacency-cospectral" in err
 
 
 def test_usage_error_exit(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+    for command in ("generate", "spectrum", "charpoly", "central", "cvjoin",
+                    "closed-spectrum", "energy", "verify", "cospectral"):
+        assert main([command, "--help"]) == 0
 
 
 @pytest.mark.parametrize("argv, token", [
