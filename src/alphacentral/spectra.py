@@ -255,11 +255,15 @@ def _eigh_checked(M):
 def char_poly(M):
     """Characteristic polynomial det(lambda*I - M), monic, ascending coeffs.
 
-    Exact mode (a bool, integer or object array: integer or Fraction
-    entries) runs the multi-prime Hessenberg engine, O(n^3) per prime with
-    CRT reconstruction, through exactalg.charpoly_exact and returns
-    Fraction coefficients. Float mode multiplies out the eigenvalues of the
-    (symmetric) input; the empty matrix gives the polynomial 1.
+    Exact mode (a bool, integer or object array: rational or finite float
+    entries, floats at their exact binary value) runs exactalg.charpoly_exact
+    and returns Fraction coefficients. Scaled to integers, a matrix with
+    n * max(rho, 2)^n < 2^63 (rho its largest absolute row sum) takes exact
+    int64 power sums and Newton's identities; any other takes the
+    multi-prime Hessenberg engine, O(n^3) per prime with CRT reconstruction.
+    Another entry, a string or nan included, raises ParameterError. Float
+    mode multiplies out the eigenvalues of the (symmetric) input; the empty
+    matrix gives the polynomial 1.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -158,7 +158,13 @@ def charpolys_equal_exact(m1, m2):
 
 
 def a_cospectral_exact(G1, G2):
-    """Exact adjacency cospectrality via integer characteristic polynomials."""
+    """Exact adjacency cospectrality via integer characteristic polynomials.
+
+    Both adjacency matrices go through exactalg.charpoly_int. Their largest
+    absolute row sum is the maximum degree d, so a graph with
+    n * max(d, 2)^n < 2^63 (never above order 57; the 6-regular order-16
+    seeds qualify) takes the int64 power-sum route, and any other graph the
+    Hessenberg route."""
     if G1.n != G2.n:
         return False
     return exactalg.charpoly_int(adjacency_matrix(G1).astype(np.int64)) == \

@@ -1,16 +1,22 @@
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphacentral import (InternalCheckError, ParameterError, a_alpha_matrix,
                           central_vertex_join, char_poly, exactalg, generate)
-from alphacentral.exactalg import (_crt_symmetric, _is_prime, _prime_below, _primes_above,
+from alphacentral.exactalg import (_POWER_SUM_MAX_ORDER, _charpoly_hessenberg,
+                                   _charpoly_power_sums, _crt_symmetric, _is_prime,
+                                   _powers_fit_int64, _prime_below, _primes_above,
                                    _row_norm_bound, charpoly_exact, charpoly_int)
+from alphacentral.graphs import adjacency_matrix
+from alphacentral.verify import a_cospectral_exact
 from reference import crt_garner, det_exact
 
 
@@ -20,6 +26,14 @@ def _assert_charpoly_matches_det(m, coeffs, xs):
     for x in xs:
         shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
         assert sum(c * x ** k for k, c in enumerate(coeffs)) == det_exact(shifted)
+
+
+def _both_routes(m):
+    """charpoly_int(m), asserted equal to the Hessenberg route's result, so
+    an input that takes the power sums still exercises Hessenberg."""
+    coeffs = charpoly_int(m)
+    assert _charpoly_hessenberg(m, *_row_norm_bound(m)) == coeffs
+    return coeffs
 
 
 def test_prime_spot_checks():
@@ -62,11 +76,80 @@ def test_charpoly_int_matches_float_eigenvalues():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-5, 5)
-        coeffs = charpoly_int(m)
+        coeffs = _both_routes(m)
         w = np.linalg.eigvalsh(np.array(m, dtype=float))
         approx = np.poly(w)[::-1]
         scale = max(1.0, max(abs(c) for c in approx))
         assert max(abs(c - a) for c, a in zip(coeffs, approx)) < 1e-6 * scale
+
+
+_SMALL_SQUARE = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SMALL_SQUARE)
+def test_power_sums_agree_with_hessenberg_and_the_determinant(m):
+    A = np.array(m, dtype=np.int64)
+    assume(_powers_fit_int64(A))
+    coeffs = _charpoly_power_sums(A)
+    assert charpoly_int(m) == _charpoly_hessenberg(m, *_row_norm_bound(m)) == coeffs
+    _assert_charpoly_matches_det(m, coeffs, range(len(m) + 1))
+
+
+def _cycle_charpoly(n):
+    """V_n(x) - 2 for the Dickson recurrence V_k = x V_(k-1) - V_(k-2), V_0 = 2,
+    V_1 = x: V_n(2 cos t) = 2 cos(n t), so its roots are C_n's 2 cos(2 pi k / n)."""
+    prev, cur = [2], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    cur[0] -= 2
+    return cur
+
+
+def test_charpoly_int_takes_the_route_the_int64_rule_names(monkeypatch):
+    used = []
+    hessenberg = exactalg._hessenberg_mod
+
+    def spy(H, p):
+        used.append(len(p))
+        return hessenberg(H, p)
+
+    monkeypatch.setattr(exactalg, "_hessenberg_mod", spy)
+    # c J_3 has rho = 3|c|; c_max is the largest c with 3 (3c)^3 < 2^63
+    c_max = 484694
+    assert 3 * (3 * c_max) ** 3 < 2 ** 63 <= 3 * (3 * c_max + 3) ** 3
+    for c, hessenberg_calls in ((c_max, 0), (c_max + 1, 1), (-c_max, 0), (-c_max - 1, 1)):
+        used.clear()
+        m = [[c] * 3 for _ in range(3)]
+        coeffs = charpoly_int(m)
+        assert len(used) == hessenberg_calls
+        assert coeffs == [0, 0, -3 * c, 1]  # x^2 (x - 3c)
+        _assert_charpoly_matches_det(m, coeffs, range(4))
+    # rho = 2 on a cycle: 57 * 2^57 < 2^63 <= 58 * 2^58
+    assert _POWER_SUM_MAX_ORDER * 2 ** _POWER_SUM_MAX_ORDER < 2 ** 63 \
+        <= (_POWER_SUM_MAX_ORDER + 1) * 2 ** (_POWER_SUM_MAX_ORDER + 1)
+    for n, hessenberg_calls in ((_POWER_SUM_MAX_ORDER, 0), (_POWER_SUM_MAX_ORDER + 1, 1)):
+        used.clear()
+        coeffs = charpoly_int(adjacency_matrix(generate("cycle", [n])).astype(np.int64))
+        assert len(used) == hessenberg_calls
+        assert coeffs == _cycle_charpoly(n)
+    used.clear()
+    assert a_cospectral_exact(generate("shrikhande"), generate("rook4x4"))
+    assert used == []
+
+
+def test_inconsistent_power_sums_are_an_internal_error(monkeypatch):
+    power_sums = exactalg._power_sums
+    # the swap matrix has s = 2, 0, 2; s_2 = 3 leaves 2 c_0 = -3
+    monkeypatch.setattr(exactalg, "_power_sums",
+                        lambda A: power_sums(A)[:2] + [power_sums(A)[2] + 1])
+    with pytest.raises(InternalCheckError, match="Newton"):
+        charpoly_int([[0, 1], [1, 0]])
 
 
 def test_charpoly_int_big_entries():
@@ -103,7 +186,8 @@ def test_charpoly_exact_scaling():
 
 def test_charpoly_exact_reads_entries_by_value_not_by_object():
     # the same matrix as shared objects, as fresh objects from a generator
-    # whose rows are freed once read, and with exact float and int entries
+    # whose rows are freed once read, with exact float and int entries, and
+    # with numpy scalars
     values = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
               [Fraction(1, 3), Fraction(2), Fraction(-3, 4)],
               [Fraction(0), Fraction(-3, 4), Fraction(1, 2)]]
@@ -111,9 +195,27 @@ def test_charpoly_exact_reads_entries_by_value_not_by_object():
     shared[:] = values
     fresh = ([Fraction(x.numerator, x.denominator) for x in row] for row in values)
     mixed = [[0.5, Fraction(1, 3), 0], [Fraction(1, 3), 2, -0.75], [0, -0.75, 0.5]]
+    scalars = [[np.float32(0.5), Fraction(1, 3), np.int8(0)],
+               [Fraction(1, 3), np.uint64(2), np.float64(-0.75)],
+               [False, np.float16(-0.75), 0.5]]
     want = charpoly_exact(values)
-    assert charpoly_exact(shared) == charpoly_exact(fresh) == charpoly_exact(mixed) == want
+    assert charpoly_exact(shared) == charpoly_exact(fresh) == charpoly_exact(mixed) \
+        == charpoly_exact(scalars) == want
     _assert_charpoly_matches_det(values, want, [Fraction(2), Fraction(-1, 2)])
+    # a numpy integer's numerator is int64, and scaling it by the lcm 2^30 wraps
+    big = [[np.int64(2 ** 40), Fraction(1, 2 ** 30)], [Fraction(1, 2 ** 30), np.int64(0)]]
+    assert charpoly_exact(big) == [Fraction(-1, 2 ** 60), -(2 ** 40), 1]
+
+
+@pytest.mark.parametrize("bad", ["1/2", float("nan"), float("inf"), np.float64("-inf"),
+                                 None, 1j, Decimal("0.5")])
+def test_char_poly_refuses_entries_that_are_not_exact_numbers(bad):
+    # Fraction() would parse '1/2' and Decimal('0.5'), and raise a bare
+    # ValueError, OverflowError or TypeError on the others
+    m = np.array([[Fraction(1, 3), 1], [1, 0]], dtype=object)
+    m[1, 1] = bad
+    with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+        char_poly(m)
 
 
 def test_charpoly_exact_agrees_with_determinant():
@@ -146,19 +248,19 @@ def test_charpoly_int_hessenberg_and_triangular_inputs():
     n = 7
     hess = [[rng.randint(-6, 6) if i <= j + 1 else 0 for j in range(n)]
             for i in range(n)]
-    _assert_charpoly_matches_det(hess, charpoly_int(hess), range(n + 1))
+    _assert_charpoly_matches_det(hess, _both_routes(hess), range(n + 1))
     tri = [[rng.randint(-6, 6) if i >= j else 0 for j in range(n)] for i in range(n)]
     # prod(x - tri[i][i]), multiplied out over Python ints (descending)
     expected = np.array([1], dtype=object)
     for i in range(n):
         expected = np.convolve(expected, np.array([1, -tri[i][i]], dtype=object))
-    assert charpoly_int(tri) == expected[::-1].tolist()
+    assert _both_routes(tri) == expected[::-1].tolist()
 
 
 def test_charpoly_int_zero_matrix_and_order_one():
-    assert charpoly_int([[0] * 6 for _ in range(6)]) == [0] * 6 + [1]
-    assert charpoly_int([[0]]) == [0, 1]
-    assert charpoly_int([[-7]]) == [7, 1]
+    assert _both_routes([[0] * 6 for _ in range(6)]) == [0] * 6 + [1]
+    assert _both_routes([[0]]) == [0, 1]
+    assert _both_routes([[-7]]) == [7, 1]
     assert charpoly_int([]) == [1]
 
 
@@ -189,7 +291,7 @@ def test_strongly_regular_16_6_2_2_adjacency_charpoly_closed_form():
         m = [[0] * g.n for _ in range(g.n)]
         for i, j in g.edges:
             m[i][j] = m[j][i] = 1
-        assert charpoly_int(m) == expected
+        assert _both_routes(m) == expected
 
 
 def test_charpoly_int_rejects_non_integral_entries():
